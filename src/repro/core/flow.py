@@ -470,22 +470,27 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             # worker pool can never journal a result under the wrong
             # index — and the controller's cancel token stops dispatch
             # the moment the target interval is met.
-            for idx, replay_result in engine.replay_stream(
-                    snapshots, strict=strict_replay, workers=workers,
-                    timeout=replay_timeout, max_retries=replay_retries,
-                    batch_lanes=batch_lanes, fault_plan=fault_plan,
-                    serial_gl_backend=serial_gl_backend, order=order,
-                    cancel=cancel):
-                done[idx] = replay_result
-                if journal_file is not None:
-                    journal_file.append(TYPE_RESULT,
-                                        {"index": idx,
-                                         "result": replay_result})
-                controller.observe(idx, replay_result)
-                if (controller.should_stop() is not None
-                        and not cancel.cancelled):
-                    controller.request_cancel(cancel,
-                                              controller.stop_reason)
+            try:
+                for idx, replay_result in engine.replay_stream(
+                        snapshots, strict=strict_replay, workers=workers,
+                        timeout=replay_timeout, max_retries=replay_retries,
+                        batch_lanes=batch_lanes, fault_plan=fault_plan,
+                        serial_gl_backend=serial_gl_backend, order=order,
+                        cancel=cancel):
+                    done[idx] = replay_result
+                    if journal_file is not None:
+                        journal_file.append(TYPE_RESULT,
+                                            {"index": idx,
+                                             "result": replay_result})
+                    controller.observe(idx, replay_result)
+                    if (controller.should_stop() is not None
+                            and not cancel.cancelled):
+                        controller.request_cancel(cancel,
+                                                  controller.stop_reason)
+            finally:
+                # the engine outlives this call; its packed stimulus
+                # must not pin this call's snapshots
+                engine.clear_stimulus_cache()
             sampling = controller.finish()
             if journal_file is not None and controller.adaptive:
                 journal_file.append(TYPE_CONTROL,

@@ -21,12 +21,14 @@ import numpy as np
 
 from ..gatelevel import (
     verify_equivalence, GateLevelSimulator, BatchedGateLevelSimulator,
-    build_schedule, pack_lane_words, MAX_LANES, SCHEDULE_VERSION,
+    build_schedule, pack_lane_words, transpose_lane_words, MAX_LANES,
+    SCHEDULE_VERSION,
     PackedStimulus, StimulusMismatch,
     analyze_power, default_grouping, SynthesisPass, PlacementPass,
     FormalMatchPass,
 )
 from ..passes import PassManager, compose_cache_key
+from ..scan.snapshot import trace_runs
 from ..fame.transform import HOST_ENABLE
 from ..obs import get_tracer, get_registry
 
@@ -34,8 +36,9 @@ from ..obs import get_tracer, get_registry
 _LANE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 # Packed-stimulus cache entries kept per engine (LRU).  Each entry holds
-# the warm-up + main-trace stimulus for one batch of snapshots; resume
-# and adaptive re-replays of the same batch skip re-packing entirely.
+# the warm-up + main-trace stimulus for one batch of snapshots, so a
+# batch replayed again through the same engine skips re-packing.
+# run_strober empties the cache when its replay phase ends.
 _STIM_CACHE_MAX = 64
 
 
@@ -183,6 +186,40 @@ def plan_replay_batches(snapshots, lanes, order=None):
     return batches
 
 
+def _trace_columns(traces, n_cycles):
+    """One batch's per-lane traces as per-name value matrices.
+
+    Returns ``{name: (values, present)}`` over the sorted names
+    occurring in any lane and cycle: ``(cycles, lanes)`` arrays of the
+    ``uint64`` values (0 where absent) and of their presence.
+    """
+    runs = [trace_runs(trace[:n_cycles]) for trace in traces]
+    names = sorted({name for lane_runs in runs
+                    for _start, keys, _vals in lane_runs for name in keys})
+    column = {name: i for i, name in enumerate(names)}
+    shape = (len(names), n_cycles, len(traces))
+    values = np.zeros(shape, dtype=np.uint64)
+    present = np.zeros(shape, dtype=bool)
+    for lane, lane_runs in enumerate(runs):
+        for start, keys, vals in lane_runs:
+            cols = [column[name] for name in keys]
+            stop = start + len(vals)
+            values[cols, start:stop, lane] = vals.T
+            present[cols, start:stop, lane] = True
+    return {name: (values[i], present[i]) for i, name in enumerate(names)}
+
+
+def _packed_cycles(values, present, nbits):
+    """``(t, lane_mask, words)`` for every cycle some lane drives.
+
+    ``values``/``present`` are one name's ``(cycles, lanes)`` matrices;
+    ``words`` are its ``nbits`` lane words at cycle ``t``.
+    """
+    masks = transpose_lane_words(present.astype(np.uint64), 1)[:, 0]
+    words = transpose_lane_words(values, nbits)
+    return [(t, masks[t], words[t]) for t in np.flatnonzero(masks).tolist()]
+
+
 def replay_port_names(circuit):
     """Input ports a replay drives (everything but the FAME1 host bit)."""
     return [node.name for node in circuit.inputs
@@ -300,6 +337,8 @@ class ReplayEngine:
         self._gl_kernel = (build_kernel(self.flow.netlist, self._schedule,
                                         self.gl_backend)
                            if self.gl_backend != "interp" else None)
+        # the name map compiled to index arrays for batched state loads
+        self._load_map = self.flow.name_map.compile(self.flow.netlist)
         # (thread,) lanes -> BatchedGateLevelSimulator; keyed by thread
         # as well when overlap threads each need a private simulator.
         self._batched = {}
@@ -456,44 +495,45 @@ class ReplayEngine:
 
         Pokes are masked input scatters (lanes whose trace lacks a port
         that cycle keep their value, like the scalar poke loop); checks
-        compare each lane's outputs against its own trace.
+        compare each lane's outputs against its own trace.  Each port's
+        (cycles x lanes) values are bit-packed for all cycles at once.
         """
-        n = len(snapshots)
         netlist = self.flow.netlist
         n_cycles = len(snapshots[0].input_trace)
         stim = PackedStimulus(n_cycles)
-        for t in range(n_cycles):
-            for port in self._port_names:
-                mask = 0
-                values = [0] * n
-                for lane, snapshot in enumerate(snapshots):
-                    inputs = snapshot.input_trace[t]
-                    if port in inputs:
-                        mask |= 1 << lane
-                        values[lane] = inputs[port]
-                if mask:
-                    nets = netlist.inputs.get(port)
-                    if nets is None:
-                        raise ReplayError(f"no input port {port!r}")
-                    stim.add_poke(t, np.array(nets, dtype=np.int64),
-                                  mask, pack_lane_words(values, len(nets)))
-            expected = {}
-            order = []
-            for lane, snapshot in enumerate(snapshots):
-                for name, value in snapshot.output_trace[t].items():
-                    if name not in expected:
-                        expected[name] = [0, [0] * n]
-                        order.append(name)
-                    expected[name][0] |= 1 << lane
-                    expected[name][1][lane] = value
-            for name in order:
-                mask, values = expected[name]
-                nets = netlist.outputs.get(name)
-                if nets is None:
-                    raise ReplayError(f"no output port {name!r}")
-                stim.add_check(t, name, np.array(nets, dtype=np.int64),
-                               mask, pack_lane_words(values, len(nets)))
+        columns = _trace_columns([s.input_trace for s in snapshots],
+                                 n_cycles)
+        for port in self._port_names:
+            if port not in columns:
+                continue
+            nets = netlist.inputs.get(port)
+            if nets is None:
+                raise ReplayError(f"no input port {port!r}")
+            nets = np.array(nets, dtype=np.int64)
+            for t, mask, words in _packed_cycles(*columns[port],
+                                                 len(nets)):
+                stim.add_poke(t, nets, mask, words)
+        columns = _trace_columns([s.output_trace for s in snapshots],
+                                 n_cycles)
+        # checks follow the first cycle's output order (the order the
+        # simulator reports them), then any other name sorted
+        order = dict.fromkeys(snapshots[0].output_trace[0] if n_cycles
+                              else ())
+        order.update(columns)
+        for name in order:
+            nets = netlist.outputs.get(name)
+            if nets is None:
+                raise ReplayError(f"no output port {name!r}")
+            nets = np.array(nets, dtype=np.int64)
+            for t, mask, words in _packed_cycles(*columns[name],
+                                                 len(nets)):
+                stim.add_check(t, name, nets, mask, words)
         return stim
+
+    def clear_stimulus_cache(self):
+        """Drop every cached packed stimulus (and the snapshots it pins)."""
+        with self._stim_lock:
+            self._stim_cache.clear()
 
     def _batch_stimulus(self, snapshots):
         """Warm-up + main stimulus for a batch, LRU-cached by identity.
@@ -569,9 +609,8 @@ class ReplayEngine:
         # per-cycle force segments.
         if warm is not None:
             gl.run_cycles(stim=warm)
-        commands = [self.flow.name_map.load_commands(s.state.regs)
-                    for s in snapshots]
-        load_counts = gl.load_dffs_lanes(commands)
+        load_counts = gl.load_dffs_lanes(
+            self._load_map, [s.state.regs for s in snapshots])
         for lane, snapshot in enumerate(snapshots):
             for mem_path, contents in snapshot.state.mems.items():
                 gl.load_sram(mem_path, contents, lane=lane)

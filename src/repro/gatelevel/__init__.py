@@ -16,7 +16,8 @@ from .placement import place, Placement, ClusterBox, PlacementPass
 from .gl_sim import (
     GateLevelSimulator, BatchedGateLevelSimulator, GateSimError,
     StimulusMismatch, PackedStimulus, LevelizedSchedule, build_schedule,
-    pack_lane_words, MAX_LANES, SCHEDULE_VERSION, STEP_PHASES,
+    pack_lane_words, transpose_lane_words, MAX_LANES, SCHEDULE_VERSION,
+    STEP_PHASES,
 )
 from .glcodegen import (
     build_kernel, resolve_backend, resolve_overlap, kernel_cache_key,
@@ -24,8 +25,8 @@ from .glcodegen import (
     GLCODEGEN_VERSION,
 )
 from .formal import (
-    match_netlist, verify_equivalence, NameMap, MatchPoint, MatchError,
-    EquivalenceResult, FormalMatchPass,
+    match_netlist, verify_equivalence, NameMap, LoadMap, MatchPoint,
+    MatchError, EquivalenceResult, FormalMatchPass,
 )
 from .power import analyze_power, PowerReport, default_grouping
 
@@ -38,12 +39,13 @@ __all__ = [
     "GateLevelSimulator", "BatchedGateLevelSimulator", "GateSimError",
     "StimulusMismatch", "PackedStimulus",
     "LevelizedSchedule", "build_schedule", "pack_lane_words",
-    "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
+    "transpose_lane_words", "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
     "build_kernel", "resolve_backend", "resolve_overlap",
     "kernel_cache_key",
     "netlist_fingerprint", "GLCodegenError", "GLCodegenUnavailable",
     "GLCODEGEN_VERSION",
-    "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
+    "match_netlist", "verify_equivalence", "NameMap", "LoadMap",
+    "MatchPoint",
     "MatchError", "EquivalenceResult", "FormalMatchPass",
     "analyze_power", "PowerReport", "default_grouping",
 ]

@@ -200,6 +200,34 @@ def _check_schedule(schedule, netlist):
     return schedule
 
 
+def _as_ints(contents):
+    """Memory contents as a sequence of Python ints."""
+    if isinstance(contents, np.ndarray):
+        return contents.tolist()
+    return contents
+
+
+def transpose_lane_words(values, nbits=64):
+    """Bit-transpose ``(..., lanes)`` ``uint64`` values into lane words.
+
+    Returns a ``(..., nbits)`` ``uint64`` array whose word ``i`` has bit
+    ``lane`` equal to bit ``i`` of ``values[..., lane]``: the whole-array
+    form of :func:`pack_lane_words`, done with byte-level
+    ``unpackbits``/``packbits`` over the low ``nbits`` bits only.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    lead = values.shape[:-1]
+    padded = np.zeros(lead + (MAX_LANES,), dtype="<u8")
+    padded[..., :values.shape[-1]] = values
+    octets = padded.view(np.uint8).reshape(lead + (MAX_LANES, 8))
+    bits = np.unpackbits(octets[..., :(nbits + 7) // 8], axis=-1,
+                         bitorder="little")[..., :nbits]  # [.., lane, bit]
+    words = np.packbits(np.swapaxes(bits, -1, -2), axis=-1,
+                        bitorder="little")                # [.., bit, byte]
+    words = np.ascontiguousarray(words).view("<u8")[..., 0]
+    return words.astype(np.uint64, copy=False)
+
+
 def pack_lane_words(values, nbits):
     """Pack per-lane integers into per-bit ``uint64`` lane words.
 
@@ -209,14 +237,10 @@ def pack_lane_words(values, nbits):
     the scalar representation (one value per lane) and the bit-parallel
     one (one word per net).
     """
-    lanes = len(values)
     if nbits <= 64:
         keep = (1 << nbits) - 1
         vals = np.array([v & keep for v in values], dtype=np.uint64)
-        bit_ids = np.arange(nbits, dtype=np.uint64)
-        lane_ids = np.arange(lanes, dtype=np.uint64)
-        bits = (vals[:, None] >> bit_ids[None, :]) & _ONE
-        return np.bitwise_or.reduce(bits << lane_ids[:, None], axis=0)
+        return transpose_lane_words(vals, nbits)
     words = []
     for i in range(nbits):
         word = 0
@@ -444,7 +468,9 @@ class GateLevelSimulator:
             raise GateSimError(f"no SRAM named {name!r}")
         if len(contents) != self.netlist.srams[idx].depth:
             raise GateSimError(f"SRAM {name} depth mismatch")
-        self._sram_data[idx][:] = contents
+        # this simulator computes on Python ints; numpy scalars must
+        # not reach it
+        self._sram_data[idx][:] = _as_ints(contents)
 
     def read_sram(self, name, addr):
         idx = self._sram_index.get(name)
@@ -797,44 +823,27 @@ class BatchedGateLevelSimulator:
             self.load_dff(name, value, lane=lane)
         return len(values)
 
-    def load_dffs_lanes(self, commands_per_lane):
-        """Load one command dict per lane in a single packed scatter.
+    def load_dffs_lanes(self, load_map, reg_values_per_lane):
+        """Load one register state per lane in a single packed scatter.
 
-        Equivalent to ``load_dffs(commands, lane=lane)`` per lane, but
-        the per-net lane masks and value words are accumulated first so
-        the netlist value array is touched once per distinct DFF instead
-        of once per (DFF, lane).  Returns the per-lane command counts.
+        ``load_map`` is the replayed design's compiled name map
+        (:meth:`~repro.gatelevel.formal.NameMap.compile` with this
+        netlist); ``reg_values_per_lane[lane]`` maps register path ->
+        value.  Equivalent to ``load_dffs(name_map.load_commands(regs),
+        lane=lane)`` per lane: one packed lane word per DFF, then one
+        masked scatter into the net values.  Returns the per-lane
+        command counts.
         """
-        if len(commands_per_lane) > self.lanes:
-            raise GateSimError(
-                f"{len(commands_per_lane)} command sets for "
-                f"{self.lanes} lanes")
-        masks = {}
-        vals = {}
-        counts = []
-        for lane, commands in enumerate(commands_per_lane):
-            lane_bit = 1 << lane
-            for name, value in commands.items():
-                idx = self._dff_index.get(name)
-                if idx is None:
-                    raise GateSimError(f"no DFF named {name!r}")
-                q = self.netlist.dffs[idx].q
-                masks[q] = masks.get(q, 0) | lane_bit
-                if value & 1:
-                    vals[q] = vals.get(q, 0) | lane_bit
-                else:
-                    vals.setdefault(q, 0)
-            counts.append(len(commands))
-        if masks:
-            nets = np.fromiter(masks.keys(), dtype=np.int64,
-                               count=len(masks))
-            lane_masks = np.fromiter((masks[n] for n in masks),
-                                     dtype=np.uint64, count=len(masks))
-            words = np.fromiter((vals[n] for n in masks),
-                                dtype=np.uint64, count=len(masks))
+        n = len(reg_values_per_lane)
+        if n > self.lanes:
+            raise GateSimError(f"{n} register states for {self.lanes} lanes")
+        words = load_map.lane_words(reg_values_per_lane)
+        nets = load_map.dff_nets
+        if nets.size:
+            mask = _ALL_ONES if n == MAX_LANES else np.uint64((1 << n) - 1)
             v = self._values
-            v[nets] = (v[nets] & ~lane_masks) | (words & lane_masks)
-        return counts
+            v[nets] = (v[nets] & ~mask) | (words & mask)
+        return [len(nets)] * n
 
     def load_sram(self, name, contents, lane=None):
         idx = self._sram_index.get(name)
@@ -844,18 +853,17 @@ class BatchedGateLevelSimulator:
             raise GateSimError(f"SRAM {name} depth mismatch")
         store = self._sram_data[idx]
         if isinstance(store, np.ndarray):
-            row = np.asarray(contents, dtype=np.uint64)
             if lane is None:
-                store[:] = row
+                store[:] = contents
             else:
                 self._check_lane(lane)
-                store[lane] = row
+                store[lane] = contents
         elif lane is None:
             for data in store:
-                data[:] = contents
+                data[:] = _as_ints(contents)
         else:
             self._check_lane(lane)
-            store[lane][:] = contents
+            store[lane][:] = _as_ints(contents)
 
     def read_sram(self, name, addr, lane=0):
         idx = self._sram_index.get(name)
@@ -1039,7 +1047,7 @@ class BatchedGateLevelSimulator:
             ok = addrs < macro.depth
             words = store[self._lane_rows, np.where(ok, addrs, 0)]
             words = np.where(ok, words, np.uint64(0))
-            packed = self._pack_word_array(words, len(data_arr))
+            packed = transpose_lane_words(words, len(data_arr))
         else:
             lane_words = [store[lane][addr] if addr < macro.depth else 0
                           for lane, addr in enumerate(addrs.tolist())]
@@ -1050,14 +1058,6 @@ class BatchedGateLevelSimulator:
             self.sram_reads[macro_idx] += changed
             last[:] = addrs
         return packed
-
-    def _pack_word_array(self, words, nbits):
-        """Transpose per-lane uint64 values into per-bit lane words
-        (the all-numpy form of :func:`pack_lane_words`)."""
-        bit_ids = np.arange(nbits, dtype=np.uint64)
-        bits = (words[:, None] >> bit_ids[None, :]) & _ONE
-        return np.bitwise_or.reduce(bits << self._lane_ids[:, None],
-                                    axis=0)
 
     def step(self, n=1):
         """Advance n clock cycles in every lane (eval, count, commit)."""

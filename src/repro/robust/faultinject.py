@@ -88,9 +88,10 @@ def apply_worker_fault(spec):
 def flip_snapshot_bit(snapshot, where="state", rng=None):
     """Flip one bit of a snapshot in place; returns a description.
 
-    ``where="state"`` hits a captured register (a sealed snapshot must
-    then fail ``validate()``); ``where="trace"`` hits a recorded output
-    token (an unsealed snapshot must then fail strict replay).
+    ``where="state"`` hits a captured register and ``where="mem"`` one
+    word of a captured memory (a sealed snapshot must then fail
+    ``validate()``); ``where="trace"`` hits a recorded output token (an
+    unsealed snapshot must then fail strict replay).
     """
     rng = rng or random.Random(0)
     if where == "state":
@@ -98,6 +99,14 @@ def flip_snapshot_bit(snapshot, where="state", rng=None):
         path = paths[rng.randrange(len(paths))]
         snapshot.state.regs[path] ^= 1
         return f"flipped bit 0 of register {path}"
+    if where == "mem":
+        paths = sorted(p for p, words in snapshot.state.mems.items()
+                       if len(words))
+        path = paths[rng.randrange(len(paths))]
+        words = snapshot.state.mems[path]
+        addr = rng.randrange(len(words))
+        words[addr] ^= 1
+        return f"flipped bit 0 of memory {path} word {addr}"
     if where == "trace":
         cycles = [i for i, d in enumerate(snapshot.output_trace) if d]
         cyc = cycles[rng.randrange(len(cycles))]
@@ -261,6 +270,10 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
     flipped = copy.deepcopy(snapshots)
     flip_snapshot_bit(flipped[0], where="state")
     expect_detection("snapshot-bitflip", flipped, SnapshotError)
+
+    flipped = copy.deepcopy(snapshots)
+    flip_snapshot_bit(flipped[0], where="mem")
+    expect_detection("snapshot-mem-bitflip", flipped, SnapshotError)
 
     unsealed = copy.deepcopy(snapshots)
     unsealed[0].checksum = None

@@ -13,12 +13,22 @@ the captured state and I/O window once recording completes, and
 bits were corrupted in transit (worker pickling, the on-disk run
 journal, a fault-injection campaign) is therefore *detected* up front
 instead of silently contributing a wrong power number.
+
+The checksum is a CRC over raw bytes: memories are flat ``uint64``
+arrays hashed in place, registers and each run of trace cycles sharing
+one key set are packed into ``uint64`` arrays, and every key set is
+encoded once.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 
 
 class SnapshotError(Exception):
@@ -26,9 +36,72 @@ class SnapshotError(Exception):
 
 
 # Wire-format version tags accepted by __setstate__.  "v1" predates the
-# integrity checksum; "v2" appends it.
-PICKLE_VERSION = "v2"
-_KNOWN_VERSIONS = ("v1", "v2")
+# integrity checksum; "v2" appends it, computed over ``repr`` of sorted
+# items with list memories; "v3" has the same layout with array
+# memories and the byte-level checksum.
+PICKLE_VERSION = "v3"
+_KNOWN_VERSIONS = ("v1", "v2", "v3")
+
+_CRC_MASK = 0xFFFFFFFF
+
+
+def _u64(rows):
+    """Ints (or equal-length tuples of ints) as a ``uint64`` array.
+
+    A value outside ``0 .. 2**64 - 1`` keeps its low 64 bits, which is
+    all a port or register of at most 64 bits can hold.
+    """
+    try:
+        return np.array(rows, dtype=np.uint64)
+    except OverflowError:
+        return (np.array(rows, dtype=object)
+                & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
+
+
+def trace_runs(trace):
+    """Split a per-cycle trace into runs of cycles sharing one key set.
+
+    Returns ``(start, keys, values)`` per run: ``keys`` is the sorted
+    tuple of names present in every cycle of the run and ``values`` a
+    C-contiguous ``(cycles, len(keys))`` ``uint64`` array.  A trace
+    whose cycles all carry the same names is a single run.
+    """
+    runs = []
+    n = len(trace)
+    start = 0
+    while start < n:
+        names = trace[start].keys()
+        stop = next((t for t in range(start + 1, n)
+                     if trace[t].keys() != names), n)
+        keys = tuple(sorted(names))
+        runs.append((start, keys, _run_values(trace[start:stop], keys)))
+        start = stop
+    return runs
+
+
+def _run_values(rows, keys):
+    """``(len(rows), len(keys))`` ``uint64`` values of ``keys``."""
+    if not keys:
+        return np.zeros((len(rows), 0), dtype=np.uint64)
+    get = itemgetter(*keys)
+    try:
+        flat = array("Q", map(get, rows) if len(keys) == 1
+                     else chain.from_iterable(map(get, rows)))
+        values = np.frombuffer(flat, dtype=np.uint64)
+    except OverflowError:
+        values = _u64([get(d) for d in rows])
+    return values.reshape(len(rows), len(keys))
+
+
+def _crc_words(h, values):
+    """Fold ``uint64`` values into CRC ``h`` as little-endian bytes, so
+    a one-bit change of a value is a one-bit change of the input."""
+    return zlib.crc32(np.ascontiguousarray(values, dtype="<u8"), h)
+
+
+def _crc_keyed(h, keys, values):
+    """Fold one key set and its ``uint64`` values into CRC ``h``."""
+    return _crc_words(zlib.crc32("\0".join(keys).encode(), h), values)
 
 
 @dataclass
@@ -62,10 +135,18 @@ class ReplayableSnapshot:
             (_v, self.cycle, self.state, self.replay_length,
              self.input_trace, self.output_trace, self.perf_counters) = state
             self.checksum = None
-        else:
-            (_v, self.cycle, self.state, self.replay_length,
-             self.input_trace, self.output_trace, self.perf_counters,
-             self.checksum) = state
+            return
+        (_v, self.cycle, self.state, self.replay_length,
+         self.input_trace, self.output_trace, self.perf_counters,
+         self.checksum) = state
+        if tag == "v2" and self.checksum is not None:
+            # Check the legacy checksum now, then reseal in the current
+            # format.  A mismatch gets a checksum the current CRC can
+            # never equal, so validate() rejects it as corrupted.
+            crc = self._compute_checksum()
+            if self._legacy_checksum() != self.checksum:
+                crc ^= _CRC_MASK
+            self.checksum = crc
 
     @property
     def complete(self):
@@ -80,14 +161,27 @@ class ReplayableSnapshot:
             self.output_trace.append(dict(outputs))
 
     def _compute_checksum(self):
-        """CRC over a canonical encoding of state + traces.
+        """CRC over cycle, L, registers, memories and both traces."""
+        state = self.state
+        h = _crc_words(0, _u64([self.cycle, self.replay_length]))
+        paths = sorted(state.regs)
+        h = _crc_keyed(h, paths, _u64([state.regs[p] for p in paths]))
+        for path in sorted(state.mems):
+            h = _crc_keyed(h, (path,), state.mems[path])
+        for trace in (self.input_trace, self.output_trace):
+            h = _crc_words(h, _u64([len(trace)]))
+            for start, keys, values in trace_runs(trace):
+                h = _crc_keyed(_crc_words(h, _u64([start])), keys, values)
+        return h
 
-        ``repr`` of sorted (path, int) pairs is a stable byte encoding
-        for the dict-of-int structures snapshots are made of.
-        """
+    def _legacy_checksum(self):
+        """The ``v2`` checksum: CRC over ``repr`` of sorted items, with
+        memories as lists of ints."""
+        mems = {path: words.tolist()
+                for path, words in self.state.mems.items()}
         h = zlib.crc32(repr((self.cycle, self.replay_length)).encode())
         h = zlib.crc32(repr(sorted(self.state.regs.items())).encode(), h)
-        h = zlib.crc32(repr(sorted(self.state.mems.items())).encode(), h)
+        h = zlib.crc32(repr(sorted(mems.items())).encode(), h)
         h = zlib.crc32(
             repr([sorted(d.items()) for d in self.input_trace]).encode(), h)
         h = zlib.crc32(

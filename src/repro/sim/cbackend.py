@@ -15,9 +15,23 @@ import shutil
 import subprocess
 import tempfile
 
+import numpy as np
+
 from ..hdl.ir import mask
 
 _CHUNK = 1500  # statements per generated C function (keeps gcc fast)
+
+# Version of the generated evaluator's exported ABI (entry points and
+# their signatures).  It keys the ``csim`` cache entry next to the
+# circuit fingerprint, so a change to :func:`generate_c_source` never
+# loads a shared object built by an older generator.  Bump it whenever
+# an entry point is added, removed or changes signature.
+CSIM_ABI = 2
+
+# Every symbol compile_circuit_c binds; a loaded object lacking one is
+# rebuilt rather than used.
+_EXPORTS = ("cycle", "get_regs", "set_regs", "mem_get", "mem_set",
+            "mem_read", "mem_write")
 
 
 class CBackendUnavailable(Exception):
@@ -209,6 +223,12 @@ void set_regs(const uint64_t* in) {{
     mem_set_cases = "\n".join(
         f"    case {idx}: MEM{idx}[addr] = value; break;"
         for idx in mem_index.values()) or "    default: break;"
+    mem_read_cases = "\n".join(
+        f"    case {idx}: memcpy(out, MEM{idx}, sizeof(MEM{idx})); break;"
+        for idx in mem_index.values()) or "    default: break;"
+    mem_write_cases = "\n".join(
+        f"    case {idx}: memcpy(MEM{idx}, in, sizeof(MEM{idx})); break;"
+        for idx in mem_index.values()) or "    default: break;"
     parts.append(f"""
 uint64_t mem_get(int mem, uint64_t addr) {{
   switch (mem) {{
@@ -222,6 +242,18 @@ void mem_set(int mem, uint64_t addr, uint64_t value) {{
 {mem_set_cases}
   }}
 }}
+
+void mem_read(int mem, uint64_t* out) {{
+  switch (mem) {{
+{mem_read_cases}
+  }}
+}}
+
+void mem_write(int mem, const uint64_t* in) {{
+  switch (mem) {{
+{mem_write_cases}
+  }}
+}}
 """)
     layout = {
         "in_index": in_index,
@@ -233,20 +265,22 @@ void mem_set(int mem, uint64_t addr, uint64_t value) {{
     return "\n".join(parts), layout
 
 
-def _build_so(circuit, workdir, so_path, use_cache):
-    """Produce circuit.so in ``workdir``; returns the evaluator layout.
+def _build_so(circuit, so_path, use_cache, reuse=True):
+    """Produce the evaluator at ``so_path``; returns its layout.
 
     Warm path: the generated C source and compiled shared object are
-    stored in the artifact cache keyed by the circuit fingerprint, so a
-    repeat invocation (any process) skips both codegen and the compiler.
+    stored in the artifact cache keyed by the circuit fingerprint and
+    :data:`CSIM_ABI`, so a repeat invocation (any process) skips both
+    codegen and the compiler.  ``reuse=False`` compiles afresh and
+    replaces the cache entry.
     """
     from ..parallel.cache import get_cache, cache_enabled
 
     fingerprint = None
     if use_cache and cache_enabled():
         from ..hdl.ir import circuit_fingerprint
-        fingerprint = circuit_fingerprint(circuit)
-        entry = get_cache().get("csim", fingerprint)
+        fingerprint = f"{circuit_fingerprint(circuit)}-abi{CSIM_ABI}"
+        entry = get_cache().get("csim", fingerprint) if reuse else None
         if entry is not None:
             with open(so_path, "wb") as f:
                 f.write(entry["so"])
@@ -258,7 +292,7 @@ def _build_so(circuit, workdir, so_path, use_cache):
     if compiler is None:
         raise CBackendUnavailable("no C compiler on PATH")
     source, layout = generate_c_source(circuit)
-    c_path = os.path.join(workdir, "circuit.c")
+    c_path = os.path.splitext(so_path)[0] + ".c"
     with open(c_path, "w") as f:
         f.write(source)
     cmd = [compiler, "-O1", "-fPIC", "-shared", "-o", so_path, c_path]
@@ -278,6 +312,14 @@ def _build_so(circuit, workdir, so_path, use_cache):
     return layout
 
 
+def _load_so(so_path):
+    """Load a built evaluator; AttributeError if an export is missing."""
+    lib = ctypes.CDLL(so_path)
+    for name in _EXPORTS:
+        getattr(lib, name)
+    return lib
+
+
 def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     """Compile a circuit to a shared object and wrap it ctypes-side.
 
@@ -287,13 +329,16 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     """
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_csim_")
     so_path = os.path.join(workdir, "circuit.so")
-    layout = _build_so(circuit, workdir, so_path, use_cache)
+    layout = _build_so(circuit, so_path, use_cache)
     try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        # A cached .so from an incompatible toolchain/arch: rebuild live.
-        layout = _build_so(circuit, workdir, so_path, use_cache=False)
-        lib = ctypes.CDLL(so_path)
+        lib = _load_so(so_path)
+    except (OSError, AttributeError):
+        # A cached .so from an incompatible toolchain/arch, or one that
+        # lacks an entry point: rebuild it under a new name (the loader
+        # would hand back the library already loaded from so_path).
+        so_path = os.path.join(workdir, "circuit-rebuilt.so")
+        layout = _build_so(circuit, so_path, use_cache, reuse=False)
+        lib = _load_so(so_path)
     lib.cycle.argtypes = [ctypes.POINTER(ctypes.c_uint64),
                           ctypes.POINTER(ctypes.c_uint64), ctypes.c_int]
     lib.get_regs.argtypes = [ctypes.POINTER(ctypes.c_uint64)]
@@ -301,6 +346,11 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     lib.mem_get.argtypes = [ctypes.c_int, ctypes.c_uint64]
     lib.mem_get.restype = ctypes.c_uint64
     lib.mem_set.argtypes = [ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64]
+    lib.mem_set.restype = None
+    lib.mem_read.argtypes = [ctypes.c_int, ctypes.c_void_p]
+    lib.mem_read.restype = None
+    lib.mem_write.argtypes = [ctypes.c_int, ctypes.c_void_p]
+    lib.mem_write.restype = None
 
     n_in = max(len(circuit.inputs), 1)
     n_out = max(len(circuit.outputs), 1)
@@ -326,7 +376,11 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
 
 
 class CMemProxy:
-    """List-like view of one memory array living inside the C library."""
+    """View of one memory array living inside the C library.
+
+    Single words go through ``mem_get``/``mem_set``; whole memories
+    move in one ``memcpy`` each way (:meth:`read`, :meth:`write`).
+    """
 
     def __init__(self, lib, mem_id, depth):
         self._lib = lib
@@ -336,15 +390,31 @@ class CMemProxy:
     def __len__(self):
         return self._depth
 
+    def _check(self, addr):
+        if not 0 <= addr < self._depth:
+            raise IndexError(f"address {addr} outside depth {self._depth}")
+
     def __getitem__(self, addr):
+        self._check(addr)
         return self._lib.mem_get(self._mem_id, addr)
 
     def __setitem__(self, addr, value):
+        self._check(addr)
         self._lib.mem_set(self._mem_id, addr, value)
 
-    def __iter__(self):
-        for addr in range(self._depth):
-            yield self._lib.mem_get(self._mem_id, addr)
+    def read(self):
+        """A copy of the whole memory as a ``uint64`` array."""
+        out = np.empty(self._depth, dtype=np.uint64)
+        self._lib.mem_read(self._mem_id, out.ctypes.data)
+        return out
+
+    def write(self, values):
+        """Overwrite the whole memory from ``depth`` words."""
+        buf = np.ascontiguousarray(values, dtype=np.uint64)
+        if buf.shape != (self._depth,):
+            raise ValueError(
+                f"memory write of shape {buf.shape}, depth {self._depth}")
+        self._lib.mem_write(self._mem_id, buf.ctypes.data)
 
 
 class CRegProxy:

@@ -7,6 +7,8 @@ the reference model when validating gate-level replays.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..hdl.ir import mask
 from .compiler import compile_circuit_cached
 
@@ -15,28 +17,41 @@ class SimStateError(Exception):
     pass
 
 
+def _mem_arrays(mems):
+    """Memory contents as 1-D ``uint64`` arrays (arrays pass through)."""
+    return {path: np.asarray(words, dtype=np.uint64)
+            for path, words in mems.items()}
+
+
 class SimState:
-    """A full architectural state snapshot (registers + memories)."""
+    """A full architectural state snapshot (registers + memories).
+
+    Registers are a dict of Python ints; each memory is one flat
+    ``uint64`` array, whatever form the caller (or an older pickle)
+    handed in.
+    """
 
     __slots__ = ("regs", "mems", "cycle")
 
     def __init__(self, regs, mems, cycle=0):
-        self.regs = regs    # dict path -> int
-        self.mems = mems    # dict path -> list[int]
+        self.regs = regs                 # dict path -> int
+        self.mems = _mem_arrays(mems)    # dict path -> uint64 array
         self.cycle = cycle
 
     def copy(self):
         return SimState(dict(self.regs),
-                        {k: list(v) for k, v in self.mems.items()},
+                        {k: v.copy() for k, v in self.mems.items()},
                         self.cycle)
 
     # __slots__ classes need explicit state hooks to pickle under every
     # protocol; snapshots embed a SimState and cross process boundaries.
+    # States pickled before memories became arrays carry lists.
     def __getstate__(self):
         return (self.regs, self.mems, self.cycle)
 
     def __setstate__(self, state):
-        self.regs, self.mems, self.cycle = state
+        self.regs, mems, self.cycle = state
+        self.mems = _mem_arrays(mems)
 
     def state_bits(self, circuit):
         reg_bits = sum(r.width for r in circuit.regs)
@@ -87,13 +102,28 @@ class RTLSimulator:
             return self._regs.bulk_get()
         return list(self._regs)
 
+    def _read_mem(self, idx):
+        """One whole memory as a fresh ``uint64`` array."""
+        if self.backend == "c":
+            return self._mems[idx].read()
+        return np.array(self._mems[idx], dtype=np.uint64)
+
+    def _write_mem(self, idx, words):
+        """Overwrite one whole memory (``depth`` words)."""
+        if self.backend == "c":
+            self._mems[idx].write(words)
+        elif isinstance(words, np.ndarray):
+            # the generated Python evaluator must only see Python ints
+            self._mems[idx][:] = words.tolist()
+        else:
+            self._mems[idx][:] = words
+
     def reset(self, clear_mems=False):
         """Apply register reset values; memories are preserved by default."""
         self._set_regs([reg.init for reg in self._reg_list])
         if clear_mems:
-            for arr in self._mems:
-                for i in range(len(arr)):
-                    arr[i] = 0
+            for i, mem in enumerate(self._mem_list):
+                self._write_mem(i, [0] * mem.depth)
         self.cycle = 0
 
     def snapshot(self):
@@ -101,7 +131,7 @@ class RTLSimulator:
         values = self._get_regs()
         regs = {reg.path: int(values[i])
                 for i, reg in enumerate(self._reg_list)}
-        mems = {mem.path: [int(v) for v in self._mems[i]]
+        mems = {mem.path: self._read_mem(i)
                 for i, mem in enumerate(self._mem_list)}
         return SimState(regs, mems, self.cycle)
 
@@ -119,9 +149,7 @@ class RTLSimulator:
             mem_values = state.mems[mem.path]
             if len(mem_values) != mem.depth:
                 raise SimStateError(f"memory {mem.path} size mismatch")
-            arr = self._mems[i]
-            for j, value in enumerate(mem_values):
-                arr[j] = value
+            self._write_mem(i, mem_values)
         self.cycle = state.cycle
 
     # -- I/O -----------------------------------------------------------------

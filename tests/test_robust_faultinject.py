@@ -161,7 +161,7 @@ class TestCampaign:
                                 backoff_base=0.05)
         assert set(verdicts) == {
             "worker-kill", "worker-stall", "worker-error",
-            "snapshot-bitflip", "trace-bitflip",
+            "snapshot-bitflip", "snapshot-mem-bitflip", "trace-bitflip",
             "cache-corruption", "journal-corruption",
         }
         missed = {k: v for k, v in verdicts.items()

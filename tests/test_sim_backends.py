@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.hdl import Module, elaborate, mux, cat
@@ -105,7 +106,9 @@ class TestCBackendMatchesPython:
             cc.step()
             assert py.peek_all() == cc.peek_all()
         assert py.snapshot().regs == cc.snapshot().regs
-        assert py.snapshot().mems == cc.snapshot().mems
+        py_mems, cc_mems = py.snapshot().mems, cc.snapshot().mems
+        assert py_mems.keys() == cc_mems.keys()
+        assert all(np.array_equal(py_mems[k], cc_mems[k]) for k in py_mems)
 
     def test_snapshot_roundtrip_across_backends(self):
         circuit = elaborate(StatefulDesign())
