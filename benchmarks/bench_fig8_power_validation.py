@@ -83,11 +83,13 @@ def test_fig8_power_validation(benchmark, workers):
     # serial vs worker-pool wall-clock on one run's replay set
     sample_run = records[0][2][0]
     t0 = time.perf_counter()
-    serial = sample_run.engine.replay_all(sample_run.snapshots, workers=1)
+    serial = sample_run.engine.replay_all(sample_run.snapshots, workers=1,
+                                          batch_lanes=1)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     parallel = sample_run.engine.replay_all(sample_run.snapshots,
-                                            workers=max(2, workers))
+                                            workers=max(2, workers),
+                                            batch_lanes=1)
     parallel_s = time.perf_counter() - t0
     assert [r.power.total_w for r in serial] == \
         [r.power.total_w for r in parallel]

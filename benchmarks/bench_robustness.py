@@ -44,12 +44,12 @@ def test_robustness(benchmark, workers, trace_dir):
             engine.flow, snaps, workers=n_workers,
             port_names=engine._port_names, grouping=engine.grouping,
             freq_hz=engine.freq_hz, timeout=timeout, backoff_base=0.05,
-            fault_plan=fault_plan, serial_engine=engine)
+            fault_plan=fault_plan, serial_engine=engine, batch_lanes=1)
 
     def measure():
         times = {}
         t0 = time.perf_counter()
-        serial = engine.replay_all(snaps, workers=1)
+        serial = engine.replay_all(snaps, workers=1, batch_lanes=1)
         times["serial_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -79,11 +79,12 @@ def test_speedup_hierarchy(benchmark, workers):
     assert len(snaps) >= 8
     engine = get_replay_engine("rocket_mini")
     n_workers = max(2, workers)
+    # one snapshot per dispatch, so the pool has work to spread
     t0 = time.perf_counter()
-    serial = engine.replay_all(snaps, workers=1)
+    serial = engine.replay_all(snaps, workers=1, batch_lanes=1)
     replay_serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = engine.replay_all(snaps, workers=n_workers)
+    parallel = engine.replay_all(snaps, workers=n_workers, batch_lanes=1)
     replay_parallel_s = time.perf_counter() - t0
     assert [r.power.total_w for r in serial] == \
         [r.power.total_w for r in parallel]
@@ -132,10 +133,11 @@ def test_speedup_hierarchy(benchmark, workers):
 
 
 def test_batched_replay_speedup(workers, batch_lanes):
-    """Bit-parallel lane batching vs the scalar replay paths.
+    """Bit-parallel lane batching vs one-lane replay.
 
-    Measures snapshot replay throughput in four modes — serial scalar,
-    single-process batched, scalar worker pool, and batched x pool —
+    Measures snapshot replay throughput in four modes — serial one
+    lane, single-process batched, one-lane worker pool, and batched x
+    pool —
     verifies all four are bit-identical, and writes
     ``results/BENCH_replay_batch.json``.  ``--batch-lanes`` narrows the
     lane width for quick smoke runs (CI uses 16).
@@ -162,10 +164,10 @@ def test_batched_replay_speedup(workers, batch_lanes):
         results = engine.replay_all(snaps, **kwargs)
         return results, time.perf_counter() - t0
 
-    serial, t_serial = timed(workers=1)
+    serial, t_serial = timed(workers=1, batch_lanes=1)
     batched, t_batched = timed(workers=1, batch_lanes=lanes)
     halved, t_halved = timed(workers=1, batch_lanes=combo_lanes)
-    pooled, t_pool = timed(workers=n_workers)
+    pooled, t_pool = timed(workers=n_workers, batch_lanes=1)
     combo, t_combo = timed(workers=n_workers, batch_lanes=combo_lanes)
     for other in (batched, halved, pooled, combo):
         assert [r.power.total_w for r in other] == \
@@ -181,7 +183,7 @@ def test_batched_replay_speedup(workers, batch_lanes):
                                         1e-9)
 
     rows = [
-        [f"serial scalar ({len(snaps)} snapshots)",
+        [f"serial, 1 lane ({len(snaps)} snapshots)",
          f"{t_serial:.2f} s", "1.00x"],
         [f"batched, {lanes} lanes", f"{t_batched:.2f} s",
          f"{batched_speedup:.2f}x"],
@@ -224,119 +226,19 @@ def test_batched_replay_speedup(workers, batch_lanes):
         assert compose_ratio >= 0.7
 
 
-def test_compiled_replay_speedup(batch_lanes, gl_backend):
-    """Compiled gate-level kernels vs the interpreted evaluator.
-
-    Times the batched simulator's hot stepping loop on rocket_mini
-    under every backend the host can build — interpreted, generated
-    Python, and (with a C compiler) gcc+ctypes — verifies the value
-    arrays stay bit-identical, computes each backend's amortization
-    point (cycles of stepping needed to pay back its compile time),
-    and writes ``results/BENCH_replay_compiled.json``.  The headline
-    ``--gl-backend`` mode (default ``auto``) is resolved to whatever
-    rung actually built, so the JSON records what this host ran.
-    """
-    import numpy as np
-    from repro.gatelevel import BatchedGateLevelSimulator, build_kernel
-    from repro.gatelevel.glcodegen import GLCodegenUnavailable
-
-    lanes = max(2, min(batch_lanes, 64))
-    warm_cycles, timed_cycles = 20, 200
-    engine = get_replay_engine("rocket_mini")
-    netlist = engine.flow.netlist
-    schedule = engine._schedule
-
-    kernels = {"interp": None}
-    compile_s = {"interp": 0.0}
-    try:
-        k = build_kernel(netlist, schedule, "compiled",
-                         use_cache=False)
-        kernels["compiled"] = k
-        compile_s["compiled"] = k.compile_seconds
-    except Exception:
-        pass
-    try:
-        k = build_kernel(netlist, schedule, "c", use_cache=False)
-        if k is not None and k.backend == "c":
-            kernels["c"] = k
-            compile_s["c"] = k.compile_seconds
-    except GLCodegenUnavailable:
-        pass
-
-    per_cycle = {}
-    values = {}
-    for name, kernel in kernels.items():
-        sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
-                                        schedule=schedule,
-                                        kernel=kernel)
-        sim.step(warm_cycles)
-        t0 = time.perf_counter()
-        sim.step(timed_cycles)
-        per_cycle[name] = (time.perf_counter() - t0) / timed_cycles
-        values[name] = sim._values.copy()
-    for name, vals in values.items():
-        assert np.array_equal(vals, values["interp"]), name
-
-    speedup = {name: per_cycle["interp"] / max(dt, 1e-12)
-               for name, dt in per_cycle.items()}
-    amortize = {}
-    for name in kernels:
-        saved = per_cycle["interp"] - per_cycle[name]
-        amortize[name] = (compile_s[name] / saved if saved > 0
-                          else float("inf"))
-
-    headline = gl_backend
-    if headline == "auto":
-        headline = "c" if "c" in kernels else "compiled"
-    if headline not in kernels:
-        headline = "compiled"
-
-    rows = [[name, f"{per_cycle[name] * 1000:.3f} ms",
-             f"{speedup[name]:.2f}x",
-             f"{compile_s[name]:.2f} s",
-             ("-" if amortize[name] == float("inf")
-              else f"{amortize[name]:,.0f} cycles")]
-            for name in per_cycle]
-    emit("replay_compiled",
-         fmt_table(["backend", "per cycle", "speedup", "compile",
-                    "amortized after"], rows))
-    save_json("BENCH_replay_compiled", {
-        "design": "rocket_mini",
-        "lanes": lanes,
-        "timed_cycles": timed_cycles,
-        "headline_backend": headline,
-        "per_cycle_ms": {k: v * 1000 for k, v in per_cycle.items()},
-        "speedup": speedup,
-        "compile_seconds": compile_s,
-        "amortization_cycles": {
-            k: (None if v == float("inf") else v)
-            for k, v in amortize.items()},
-        "have_cc": "c" in kernels,
-        "cpu_count": os.cpu_count(),
-    })
-
-    # acceptance: the generated-Python kernel must not lose to the
-    # interpreter it replaces (the interpreter is already numpy-
-    # vectorized, so its headroom is small — see EXPERIMENTS.md), and
-    # a C kernel must deliver a real multiple on full-width batches
-    assert "compiled" in kernels
-    assert speedup["compiled"] >= 1.0
-    if "c" in kernels and lanes >= 32:
-        assert speedup["c"] >= 3.0
-
-
 def test_native_replay_speedup(batch_lanes):
-    """Whole-cycle native stepping vs the per-eval hot loop it replaced.
+    """The native kernel vs the interpreter, whole-cycle vs per-eval.
 
-    The earlier compiled backends accelerated only the combinational
-    eval: every cycle still crossed back into Python for toggle
-    counting, SRAM write commit, and DFF commit.  ``run_cycles`` moves
-    the whole cycle — and N cycles per call — into the kernel, so the
-    C backend makes one GIL-releasing foreign call per replay instead
-    of one per eval.  This bench times both loops under every backend
-    the host can build, verifies value arrays *and* toggle counts stay
-    bit-identical, records the per-phase ``glstep.*`` breakdown of the
-    native C run, and writes ``results/BENCH_replay_native.json``.
+    ``run_cycles`` runs the whole cycle — and N cycles per call — in
+    the kernel, so the C backend makes one GIL-releasing foreign call
+    per replay instead of crossing back into Python every cycle for
+    toggle counting, SRAM write commit and DFF commit.  This bench
+    builds the fixed ``libglsim`` kernel cold (no artifact cache) and
+    records that build time and its amortization point, times both
+    loops under every backend the host can build, verifies value
+    arrays *and* toggle counts stay bit-identical, records the
+    per-phase ``glstep.*`` breakdown of the native C run, and writes
+    ``results/BENCH_replay_native.json``.
     """
     import numpy as np
     from repro.gatelevel import BatchedGateLevelSimulator, build_kernel
@@ -350,15 +252,12 @@ def test_native_replay_speedup(batch_lanes):
     schedule = engine._schedule
 
     kernels = {"interp": None}
-    try:
-        kernels["compiled"] = build_kernel(netlist, schedule,
-                                           "compiled", use_cache=False)
-    except Exception:
-        pass
+    build_s = {"interp": 0.0}
     try:
         k = build_kernel(netlist, schedule, "c", use_cache=False)
-        if k is not None and k.backend == "c":
+        if k is not None:
             kernels["c"] = k
+            build_s["c"] = k.compile_seconds
     except GLCodegenUnavailable:
         pass
 
@@ -427,6 +326,20 @@ def test_native_replay_speedup(batch_lanes):
     for name, ratio in native_over_legacy.items():
         rows.append([f"{name}: native vs legacy", "",
                      f"{ratio:.2f}x"])
+    c_over_interp = None
+    if "c" in kernels:
+        c_over_interp = (per_cycle[("interp", "native")]
+                         / max(per_cycle[("c", "native")], 1e-12))
+        rows.append(["c vs interp (native)", "", f"{c_over_interp:.2f}x"])
+    # cycles of native stepping that pay back the kernel's cold build
+    amortize = {}
+    for name in kernels:
+        saved = (per_cycle[("interp", "native")]
+                 - per_cycle[(name, "native")])
+        amortize[name] = build_s[name] / saved if saved > 0 else None
+        rows.append([f"{name}: cold build", f"{build_s[name]:.2f} s",
+                     "-" if amortize[name] is None
+                     else f"pays back in {amortize[name]:,.0f} cycles"])
     emit("replay_native",
          fmt_table(["loop", "per cycle", "speedup"], rows))
     save_json("BENCH_replay_native", {
@@ -439,6 +352,9 @@ def test_native_replay_speedup(batch_lanes):
             f"{name}_{mode}": legacy_interp / max(dt, 1e-12)
             for (name, mode), dt in per_cycle.items()},
         "native_over_legacy": native_over_legacy,
+        "c_over_interp": c_over_interp,
+        "kernel_build_seconds": build_s,
+        "amortization_cycles": amortize,
         "native_phase_seconds": phases,
         "have_cc": "c" in kernels,
         "cpu_count": os.cpu_count(),
@@ -447,11 +363,12 @@ def test_native_replay_speedup(batch_lanes):
     # acceptance: whole-cycle native stepping must never lose to the
     # per-eval loop, and with a C compiler on full-width batches the
     # one-call-per-replay kernel must deliver a real multiple over the
-    # per-eval C backend it replaces
+    # per-eval C backend it replaces and over the numpy interpreter
     for name, ratio in native_over_legacy.items():
         assert ratio >= 0.9, (name, ratio)
     if "c" in kernels and lanes >= 32:
         assert native_over_legacy["c"] >= 3.0
+        assert c_over_interp >= 3.0
 
 
 def test_obs_overhead(batch_lanes, trace_dir):

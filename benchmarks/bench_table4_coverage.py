@@ -53,10 +53,11 @@ def test_table4_coverage(benchmark, workers):
     engine = get_replay_engine("rocket_mini")
     snaps = results["towers"].snapshots
     t0 = time.perf_counter()
-    serial = engine.replay_all(snaps, workers=1)
+    serial = engine.replay_all(snaps, workers=1, batch_lanes=1)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = engine.replay_all(snaps, workers=max(2, workers))
+    parallel = engine.replay_all(snaps, workers=max(2, workers),
+                                 batch_lanes=1)
     parallel_s = time.perf_counter() - t0
     assert [r.power.total_w for r in serial] == \
         [r.power.total_w for r in parallel]

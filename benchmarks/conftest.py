@@ -9,9 +9,6 @@ smoke runs pass a smaller width to stay quick).  ``--trace-dir DIR``
 makes the benches that support it record Chrome-trace JSON files
 (see :mod:`repro.obs`) into ``DIR`` alongside their measurements
 (``--trace`` itself is taken by pytest's debugger hook).
-``--gl-backend NAME`` picks the gate-level evaluation backend the
-compiled-replay bench reports as its headline mode (default ``auto``:
-the best rung the host supports — C where a compiler exists).
 """
 
 import os
@@ -30,11 +27,6 @@ def pytest_addoption(parser):
         "--trace-dir", type=str, default=None, metavar="DIR",
         help="write Chrome-trace JSON files for traced benches "
              "into DIR (default: tracing off)")
-    parser.addoption(
-        "--gl-backend", type=str, default="auto",
-        choices=["interp", "compiled", "c", "auto"],
-        help="gate-level backend for the compiled-replay bench "
-             "(default: auto)")
 
 
 @pytest.fixture
@@ -54,8 +46,3 @@ def trace_dir(request):
     if value is not None:
         os.makedirs(value, exist_ok=True)
     return value
-
-
-@pytest.fixture
-def gl_backend(request):
-    return request.config.getoption("--gl-backend")

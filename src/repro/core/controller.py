@@ -113,6 +113,16 @@ class AdaptiveSamplingController:
         return self.target_rel_error is not None
 
     @property
+    def ramp(self):
+        """First dispatch width for :meth:`ReplayEngine.replay_stream`.
+
+        Adaptive runs start at ``min_sample`` snapshots and double per
+        batch, so a stop after a short prefix wastes little of a wide
+        batch; fixed runs dispatch full-width batches (``None``).
+        """
+        return self.min_sample if self.adaptive else None
+
+    @property
     def sample_size(self):
         """Samples folded in so far (seeded + freshly replayed)."""
         return self.estimator.n

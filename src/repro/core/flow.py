@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..targets.soc import run_workload
 from ..isa.programs import ALL_PROGRAMS
 from ..fame.transform import Fame1TransformPass
+from ..gatelevel import MAX_LANES
 from ..obs import (
     Tracer, set_tracer, get_registry, export_chrome_trace,
     append_run_record,
@@ -184,7 +185,8 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 max_cycles=2_000_000, backend="auto", seed=0,
                 confidence=0.99, workload_kwargs=None, strict_replay=True,
                 record_full_io=False, workers=1, journal=None,
-                replay_timeout=None, replay_retries=2, batch_lanes=1,
+                replay_timeout=None, replay_retries=2,
+                batch_lanes=MAX_LANES,
                 gl_backend=None, gl_overlap=None, debug=False,
                 trace=None, tracer=None,
                 serial_gl_backend=None, fault_plan=None,
@@ -200,17 +202,19 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     :class:`~repro.robust.ReplayHealthReport` lands on the returned
     run's ``health`` field.
 
-    ``batch_lanes`` packs up to that many snapshots (``None`` = 64)
-    into the bit lanes of one batched gate-level replay, multiplying —
-    not replacing — the worker-process parallelism.  Results are
-    bit-identical to serial scalar replay for any setting.
+    ``batch_lanes`` packs up to that many snapshots (default and
+    ``None``: :data:`~repro.gatelevel.MAX_LANES`, 64) into the bit lanes
+    of one batched gate-level replay, multiplying — not replacing — the
+    worker-process parallelism.  Results are bit-identical for any
+    setting, so the journal treats it as advisory.
 
-    ``gl_backend`` selects the gate-level evaluation strategy for
-    batched replays: ``"interp"`` (default), ``"compiled"`` (generated
-    straight-line Python), ``"c"`` (gcc+ctypes), or ``"auto"`` (best
-    available); ``$REPRO_GL_BACKEND`` supplies the default.  Backends
-    are bit-identical, so the choice is recorded in the journal run key
-    as advisory provenance only — a journal written under one backend
+    ``gl_backend`` selects the gate-level evaluation strategy:
+    ``"auto"`` (default: the native kernel, or the batched numpy
+    interpreter when no C compiler is usable), ``"c"`` (the native
+    kernel, warning once when it has to fall back) or ``"interp"``;
+    ``$REPRO_GL_BACKEND`` supplies the default.  Backends are
+    bit-identical, so the choice is recorded in the journal run key as
+    advisory provenance only — a journal written under one backend
     resumes under another.
 
     ``gl_overlap`` keeps up to that many replay batches in flight on
@@ -256,7 +260,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     one per job with an ``on_span`` subscriber so its ``/status``
     endpoint can stream run phases live.  ``serial_gl_backend`` forces
     the supervisor's in-process fallback engine onto that backend
-    (the service passes ``"interp"`` so a poisoned compiled kernel is
+    (the service passes ``"interp"`` so a poisoned native kernel is
     never executed in the daemon process).  ``fault_plan`` is the
     fault-injection harness hook (:class:`repro.robust.FaultPlan`):
     it deliberately sabotages chosen replay dispatches and exists so
@@ -268,7 +272,10 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     killing the pool — the moment the eq.-7 confidence interval's
     relative error drops to the target (a fraction, e.g. ``0.05`` for
     ±5%), bounded below by ``min_sample`` (default 2) and above by
-    ``max_sample`` (default: every sampled snapshot).  The stop
+    ``max_sample`` (default: every sampled snapshot).  Its batches
+    start at ``min_sample`` lanes and double up to ``batch_lanes``;
+    results past the stop are dropped, so the sample and the estimate
+    do not depend on ``batch_lanes`` in a serial run.  The stop
     reason, sample size, final relative error, and fraction of
     snapshots replayed land on the returned run's ``sampling`` dict
     (and, with ``journal``, in a control record).  Reopening an
@@ -278,7 +285,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     fixed-sample pipeline.
     """
     from ..gatelevel.glcodegen import resolve_backend, resolve_overlap
-    batch_lanes = 64 if batch_lanes is None else int(batch_lanes)
+    batch_lanes = MAX_LANES if batch_lanes is None else int(batch_lanes)
     gl_backend = resolve_backend(gl_backend)
     gl_overlap = resolve_overlap(gl_overlap)
     workload_name = workload if workload in ALL_PROGRAMS else "(custom)"
@@ -363,10 +370,10 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             "seed": seed,
             "strict_replay": bool(strict_replay),
             "workload_kwargs": workload_kwargs or {},
+            # advisory provenance: lane counts, backends and thread
+            # overlap are bit-identical, so resume comparison ignores
+            # these keys (see journal module)
             "batch_lanes": batch_lanes,
-            # advisory provenance: backends and thread overlap are
-            # bit-identical, so resume comparison ignores these keys
-            # (see journal module)
             "gl_backend": gl_backend,
             "gl_overlap": gl_overlap,
             # advisory sampling knobs: resume comparison ignores these
@@ -476,7 +483,12 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                         timeout=replay_timeout, max_retries=replay_retries,
                         batch_lanes=batch_lanes, fault_plan=fault_plan,
                         serial_gl_backend=serial_gl_backend, order=order,
-                        cancel=cancel):
+                        cancel=cancel, ramp=controller.ramp):
+                    if controller.stop_reason is not None:
+                        # the rest of a batch that ran past the stop:
+                        # the sample is the prefix the controller
+                        # stopped on, the same at any lane count
+                        continue
                     done[idx] = replay_result
                     if journal_file is not None:
                         journal_file.append(TYPE_RESULT,

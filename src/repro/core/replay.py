@@ -135,25 +135,10 @@ def make_replay_batches(snapshots, lanes):
     step the same number of cycles).  ``N % lanes != 0`` simply leaves
     a ragged final batch.
     """
-    if not 1 <= lanes <= MAX_LANES:
-        raise ValueError(f"lanes must be in 1..{MAX_LANES}, got {lanes}")
-    batches = []
-    current = []
-    current_len = None
-    for i, snapshot in enumerate(snapshots):
-        n_cycles = len(snapshot.input_trace)
-        if current and (len(current) >= lanes
-                        or n_cycles != current_len):
-            batches.append(current)
-            current = []
-        current.append(i)
-        current_len = n_cycles
-    if current:
-        batches.append(current)
-    return batches
+    return plan_replay_batches(snapshots, lanes)
 
 
-def plan_replay_batches(snapshots, lanes, order=None):
+def plan_replay_batches(snapshots, lanes, order=None, ramp=None):
     """Pack snapshot indices into bit-lane batches following ``order``.
 
     The ``order``-aware generalization of :func:`make_replay_batches`:
@@ -164,21 +149,29 @@ def plan_replay_batches(snapshots, lanes, order=None):
     exactly :func:`make_replay_batches` — natural order over all
     snapshots — so fixed-sample runs batch byte-identically to the
     historical path.
+
+    ``ramp`` — when given, the first batch holds at most ``ramp``
+    snapshots and each later one at most twice its predecessor's
+    limit, up to ``lanes``.  The adaptive controller ramps so it can
+    stop after a short prefix of the order and still reach full-width
+    batches on a long run.
     """
-    if order is None:
-        return make_replay_batches(snapshots, lanes)
     if not 1 <= lanes <= MAX_LANES:
         raise ValueError(f"lanes must be in 1..{MAX_LANES}, got {lanes}")
     snapshots = list(snapshots)
+    if order is None:
+        order = range(len(snapshots))
+    width = lanes if ramp is None else max(1, min(int(ramp), lanes))
     batches = []
     current = []
     current_len = None
     for i in order:
         n_cycles = len(snapshots[i].input_trace)
-        if current and (len(current) >= lanes
+        if current and (len(current) >= width
                         or n_cycles != current_len):
             batches.append(current)
             current = []
+            width = min(2 * width, lanes)
         current.append(i)
         current_len = n_cycles
     if current:
@@ -327,22 +320,16 @@ class ReplayEngine:
         self._schedule = load_levelized_schedule(self.flow)
         self.gl = GateLevelSimulator(self.flow.netlist,
                                      schedule=self._schedule)
-        # One generated kernel (compiled-or-cache-loaded here, at
-        # engine init) shared by every batched simulator: kernels are
-        # lane-oblivious, so lane count does not key them.
-        from ..gatelevel.glcodegen import (
-            build_kernel, resolve_backend, resolve_overlap)
-        self.gl_backend = resolve_backend(gl_backend)
-        self.gl_overlap = resolve_overlap(overlap)
-        self._gl_kernel = (build_kernel(self.flow.netlist, self._schedule,
-                                        self.gl_backend)
-                           if self.gl_backend != "interp" else None)
+        # One native kernel (the netlist's program plus the machine's
+        # shared object, loaded here at engine init) shared by every
+        # batched simulator; None means the numpy interpreter.
+        from ..gatelevel import glcodegen
+        self.gl_backend = glcodegen.resolve_backend(gl_backend)
+        self.gl_overlap = glcodegen.resolve_overlap(overlap)
+        self._gl_kernel = glcodegen.build_kernel(
+            self.flow.netlist, self._schedule, self.gl_backend)
         # the name map compiled to index arrays for batched state loads
         self._load_map = self.flow.name_map.compile(self.flow.netlist)
-        # (thread,) lanes -> BatchedGateLevelSimulator; keyed by thread
-        # as well when overlap threads each need a private simulator.
-        self._batched = {}
-        self._batched_lock = threading.Lock()
         self._stim_cache = OrderedDict()
         self._stim_lock = threading.Lock()
         self._overlap_pool = None
@@ -430,22 +417,6 @@ class ReplayEngine:
             load_commands=len(commands),
             wall_seconds=time.perf_counter() - t0,
         )
-
-    def _get_batched(self, lanes):
-        # Under thread overlap every worker thread gets its own
-        # simulator: lane state, toggle arenas, and SRAM stores are
-        # per-simulator mutable, only the (stateless) kernel is shared.
-        key = ((threading.get_ident(), lanes) if self.gl_overlap > 1
-               else lanes)
-        with self._batched_lock:
-            sim = self._batched.get(key)
-        if sim is None:
-            sim = BatchedGateLevelSimulator(
-                self.flow.netlist, lanes=lanes, schedule=self._schedule,
-                kernel=self._gl_kernel)
-            with self._batched_lock:
-                sim = self._batched.setdefault(key, sim)
-        return sim
 
     # -- stimulus packing -------------------------------------------------------
 
@@ -575,6 +546,7 @@ class ReplayEngine:
         its own power analysis.  Results are bit-identical to
         :meth:`replay`, in snapshot order.  Every snapshot in a batch
         must share one trace length (see :func:`make_replay_batches`).
+        A singleton batch runs on the same kernel, in one lane.
         """
         snapshots = list(snapshots)
         n = len(snapshots)
@@ -583,8 +555,6 @@ class ReplayEngine:
         if n > MAX_LANES:
             raise ValueError(
                 f"batch of {n} snapshots exceeds {MAX_LANES} lanes")
-        if n == 1:
-            return [self.replay(snapshots[0], strict=strict)]
         with get_tracer().span("replay.batch", cat="replay",
                                lanes=n) as span:
             results = self._replay_batch(snapshots, strict=strict)
@@ -601,8 +571,13 @@ class ReplayEngine:
                 "snapshots in one batch must share a trace length")
         t0 = time.perf_counter()
         netlist = self.flow.netlist
-        gl = self._get_batched(n)
-        gl.full_reset()
+        # A simulator per batch (0.5 ms at 64 lanes): lane state, toggle
+        # arenas and SRAM stores are mutable, so threads never share
+        # one, and nothing outlives the batch.  Only the read-only
+        # kernel is shared.
+        gl = BatchedGateLevelSimulator(netlist, lanes=n,
+                                       schedule=self._schedule,
+                                       kernel=self._gl_kernel)
         warm, main = self._batch_stimulus(snapshots)
         # Retimed warm-up, all lanes at once: the same block-major,
         # latency-descending forcing as the scalar path, packed into
@@ -632,14 +607,17 @@ class ReplayEngine:
             ) from exc
         mismatches = lane_mismatches.tolist()
 
-        activities = [gl.activity(lane) for lane in range(n)]
-        powers = [analyze_power(netlist, act,
-                                self.flow.placement, freq_hz=self.freq_hz,
-                                grouping=self.grouping)
-                  for act in activities]
-        _note_replay(n, gl.cycles,
-                     int(sum(int(act["toggles"].sum())
-                             for act in activities)))
+        # one lane's toggle vector at a time: analyze, then drop it
+        powers = []
+        toggles = 0
+        for lane in range(n):
+            activity = gl.activity(lane)
+            toggles += int(activity["toggles"].sum())
+            powers.append(analyze_power(netlist, activity,
+                                        self.flow.placement,
+                                        freq_hz=self.freq_hz,
+                                        grouping=self.grouping))
+        _note_replay(n, gl.cycles, toggles)
         per_lane_seconds = (time.perf_counter() - t0) / n
         return [ReplayResult(
                     snapshot_cycle=snapshot.cycle,
@@ -660,24 +638,6 @@ class ReplayEngine:
                 thread_name_prefix="replay-overlap")
         return self._overlap_pool
 
-    def _replay_batch_any(self, snapshots, strict=True):
-        """:meth:`replay_batch` without the single-snapshot scalar
-        shortcut — overlap threads must not share ``self.gl``, so even
-        singleton batches run on a (per-thread) batched simulator."""
-        snapshots = list(snapshots)
-        n = len(snapshots)
-        if n == 0:
-            return []
-        if n > MAX_LANES:
-            raise ValueError(
-                f"batch of {n} snapshots exceeds {MAX_LANES} lanes")
-        with get_tracer().span("replay.batch", cat="replay",
-                               lanes=n) as span:
-            results = self._replay_batch(snapshots, strict=strict)
-            span.set(cycles=results[0].cycles,
-                     mismatches=sum(r.mismatches for r in results))
-        return results
-
     def replay_batches(self, groups, strict=True):
         """Replay several independent lane-batches, flattened in order.
 
@@ -692,7 +652,7 @@ class ReplayEngine:
         groups = [list(group) for group in groups]
         if self.gl_overlap > 1 and len(groups) > 1:
             pool = self._overlap_executor()
-            futures = [pool.submit(self._replay_batch_any, group, strict)
+            futures = [pool.submit(self.replay_batch, group, strict)
                        for group in groups]
             out = []
             for future in futures:
@@ -705,8 +665,8 @@ class ReplayEngine:
 
     def replay_stream(self, snapshots, strict=True, workers=1,
                       timeout=None, max_retries=2, fault_plan=None,
-                      batch_lanes=1, serial_gl_backend=None, order=None,
-                      cancel=None):
+                      batch_lanes=MAX_LANES, serial_gl_backend=None,
+                      order=None, cancel=None, ramp=None):
         """Stream replays: a generator of ``(index, result)`` pairs.
 
         The streaming core of :meth:`replay_all`.  Batches are
@@ -721,6 +681,10 @@ class ReplayEngine:
         those snapshots are replayed).  The adaptive sampling
         controller passes a confidence-driven order; incremental
         journal re-sampling passes the not-yet-journaled subset.
+
+        ``ramp`` — optional first-batch width, doubling per batch up to
+        ``batch_lanes`` (see :func:`plan_replay_batches`); the adaptive
+        controller passes its ``min_sample`` so it can stop early.
 
         ``cancel`` — optional :class:`repro.parallel.CancelToken`:
         once set, no further batches are dispatched, already-completed
@@ -737,9 +701,7 @@ class ReplayEngine:
         """
         snapshots = list(snapshots)
         self.last_health = None
-        if batch_lanes is None:
-            batch_lanes = MAX_LANES
-        batch_lanes = int(batch_lanes)
+        batch_lanes = MAX_LANES if batch_lanes is None else int(batch_lanes)
         if not 1 <= batch_lanes <= MAX_LANES:
             raise ValueError(
                 f"batch_lanes must be in 1..{MAX_LANES}, got {batch_lanes}")
@@ -756,26 +718,21 @@ class ReplayEngine:
                 raise ValueError("order index out of range")
         if workers == 1:
             return self._stream_serial(snapshots, strict, batch_lanes,
-                                       order, cancel)
+                                       order, cancel, ramp)
         return self._stream_supervised(
             snapshots, strict, workers, timeout, max_retries,
-            fault_plan, batch_lanes, serial_gl_backend, order, cancel)
-
-    def _serial_batches(self, snapshots, batch_lanes, order):
-        if batch_lanes == 1:
-            positions = order if order is not None \
-                else range(len(snapshots))
-            return [[i] for i in positions]
-        return plan_replay_batches(snapshots, batch_lanes, order=order)
+            fault_plan, batch_lanes, serial_gl_backend, order, cancel,
+            ramp)
 
     def _stream_serial(self, snapshots, strict, batch_lanes, order,
-                       cancel):
+                       cancel, ramp):
         overlap = self.gl_overlap
         with get_tracer().span("replay.all", cat="replay", workers=1,
                                batch_lanes=batch_lanes,
                                snapshots=len(snapshots),
                                overlap=overlap):
-            batches = self._serial_batches(snapshots, batch_lanes, order)
+            batches = plan_replay_batches(snapshots, batch_lanes,
+                                          order=order, ramp=ramp)
             if overlap <= 1 or len(batches) <= 1:
                 for batch in batches:
                     if cancel is not None and cancel.cancelled:
@@ -804,7 +761,7 @@ class ReplayEngine:
                         batch = batches[next_batch]
                         next_batch += 1
                         future = pool.submit(
-                            self._replay_batch_any,
+                            self.replay_batch,
                             [snapshots[i] for i in batch], strict)
                         pending[future] = batch
                     if not pending:
@@ -820,7 +777,7 @@ class ReplayEngine:
 
     def _stream_supervised(self, snapshots, strict, workers, timeout,
                            max_retries, fault_plan, batch_lanes,
-                           serial_gl_backend, order, cancel):
+                           serial_gl_backend, order, cancel, ramp):
         from ..parallel import ParallelReplayError
         from ..robust.supervisor import (
             replay_supervised_stream, ReplayHealthReport)
@@ -848,7 +805,8 @@ class ReplayEngine:
                         gl_backend=self.gl_backend,
                         gl_overlap=self.gl_overlap,
                         serial_gl_backend=serial_gl_backend,
-                        order=order, cancel=cancel, report=report):
+                        order=order, cancel=cancel, ramp=ramp,
+                        report=report):
                     done.add(idx)
                     yield idx, result
                 self.last_health = report
@@ -865,8 +823,9 @@ class ReplayEngine:
                 positions = (order if order is not None
                              else range(len(snapshots)))
                 remaining = [i for i in positions if i not in done]
-                for batch in self._serial_batches(snapshots, batch_lanes,
-                                                  remaining):
+                for batch in plan_replay_batches(snapshots, batch_lanes,
+                                                 order=remaining,
+                                                 ramp=ramp):
                     if cancel is not None and cancel.cancelled:
                         break
                     batch_results = self.replay_batch(
@@ -876,7 +835,7 @@ class ReplayEngine:
 
     def replay_all(self, snapshots, strict=True, workers=1,
                    on_result=None, timeout=None, max_retries=2,
-                   fault_plan=None, batch_lanes=1,
+                   fault_plan=None, batch_lanes=MAX_LANES,
                    serial_gl_backend=None):
         """Replay every snapshot; optionally across worker processes.
 
@@ -903,17 +862,17 @@ class ReplayEngine:
         each replay completes — the hook the crash-safe run journal
         uses to persist progress incrementally.
 
-        ``batch_lanes`` packs that many snapshots into the bit lanes of
-        one batched gate-level evaluation (``None`` = the full 64; 1 =
-        the scalar path).  Batching composes with ``workers``: each
-        worker process replays whole batches, and its per-snapshot
-        deadline scales to a per-batch deadline.  Results stay
-        bit-identical to the serial scalar path either way.
+        ``batch_lanes`` packs up to that many snapshots into the bit
+        lanes of one batched gate-level evaluation (default and
+        ``None``: :data:`MAX_LANES`).  Batching composes with
+        ``workers``: each worker process replays whole batches, and its
+        per-snapshot deadline scales to a per-batch deadline.  Results
+        are bit-identical for every lane count.
 
         ``serial_gl_backend`` overrides the gate-level backend of the
         supervisor's last-resort in-process fallback engine.  The job
-        service passes ``"interp"``: when workers keep dying under a
-        compiled kernel, the kernel itself is suspect, and the
+        service passes ``"interp"``: when workers keep dying under the
+        native kernel, the kernel itself is suspect, and the
         supervising process must not execute it in-process (backends
         are bit-identical, so only the speed changes).
         """

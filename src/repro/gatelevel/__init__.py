@@ -21,8 +21,7 @@ from .gl_sim import (
 )
 from .glcodegen import (
     build_kernel, resolve_backend, resolve_overlap, kernel_cache_key,
-    netlist_fingerprint, GLCodegenError, GLCodegenUnavailable,
-    GLCODEGEN_VERSION,
+    GLCodegenError, GLCodegenUnavailable, GLCODEGEN_VERSION,
 )
 from .formal import (
     match_netlist, verify_equivalence, NameMap, LoadMap, MatchPoint,
@@ -41,8 +40,7 @@ __all__ = [
     "LevelizedSchedule", "build_schedule", "pack_lane_words",
     "transpose_lane_words", "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
     "build_kernel", "resolve_backend", "resolve_overlap",
-    "kernel_cache_key",
-    "netlist_fingerprint", "GLCodegenError", "GLCodegenUnavailable",
+    "kernel_cache_key", "GLCodegenError", "GLCodegenUnavailable",
     "GLCODEGEN_VERSION",
     "match_netlist", "verify_equivalence", "NameMap", "LoadMap",
     "MatchPoint",

@@ -1,96 +1,72 @@
-"""Compiled batched gate-level evaluators (GSIM-style codegen).
+"""Native bit-parallel gate-level replay kernel (backend ``c``).
 
 The interpreted :class:`~repro.gatelevel.gl_sim.BatchedGateLevelSimulator`
-spends its cycle budget on per-group numpy dispatch: every level of the
-levelized schedule costs a Python loop iteration, an if-chain on the
-cell kind, and several small fancy-indexing temporaries.  This module
-removes that dispatch entirely by *compiling* the schedule, once per
-netlist, into a flat branch-free evaluator — the classic GSIM /
-compiled-code logic-simulation move, applied to the bit-parallel lane
-representation (one ``uint64`` word per net, one snapshot per bit lane):
+spends its cycle budget on per-group numpy dispatch.  This module runs
+the same cycle natively: ``libglsim.c`` (next to this file) is one
+fixed, netlist-independent C translation unit whose ``gl_run_cycles``
+executes a whole replay batch — packed stimulus, per-level gate
+groups, SRAM read ports, forces, expected-output checks, vertical
+toggle counters, SRAM write ports and DFF commit — as **one**
+GIL-releasing foreign call.
 
-* **compiled** — an ``exec``-generated Python function of straight-line
-  uint64 bitwise statements, one local per net.  Constant nets are
-  folded into the expressions (``CONST0`` -> ``0``, ``CONST1`` -> the
-  all-ones word) and ``MUX2`` lowers to the 3-op XOR form
-  ``c ^ ((b ^ c) & a)`` instead of 4 ops with a mask temporary.
-* **c** — the same lowering emitted as a C translation unit, compiled
-  with the system C compiler and loaded through ctypes, modeled on the
-  FAME-side :mod:`repro.sim.cbackend` (same graceful-fallback contract:
-  :class:`GLCodegenUnavailable` when no compiler is present).  The C
-  kernel evaluates directly on the simulator's numpy value buffer, so
-  there is no per-cycle conversion at all.
+The netlist is *data*, not code.  :func:`build_kernel` turns a
+:class:`~repro.gatelevel.gl_sim.LevelizedSchedule` into a *program*:
+per-level gate-group ranges (cell code plus ``out``/``in0``/``in1``/
+``in2`` index quads, ``CONST0``/``CONST1`` as ordinary nets), SRAM
+read-port descriptors at their level positions, write-port
+descriptors and the DFF arrays.  The kernel walks that program in the
+interpreter's exact order, so results are bit-identical by
+construction.
 
-SRAM async read ports need per-lane address divergence and the
-read-address memo.  The generated Python kernel calls back into the
-simulator's vectorized port path at the port's exact level position;
-the C kernel goes further and compiles the ports natively — per-lane
-address assembly, store gather, data-bit repacking, and the
-last-address/read-counter update all run inside the shared object,
-against the same numpy buffers the interpreter uses (value array,
-``(lanes, depth)`` stores, per-port last-address memos, the
-``sram_reads`` matrix), so a cycle under the C backend needs zero
-Python per evaluation.  Net forcing mutates values *between* levels,
-so a simulator with active forces falls back
-to the interpreted ``eval`` for those evaluations (forces only occur
-during the brief retimed warm-up); everything else — toggle counting,
-commit, SAIF extraction — is representation-identical, which is what
-makes the compiled backends bit-exact drop-ins.
-
-Generated artifacts are persisted in the content-addressed cache
-(:mod:`repro.parallel.cache`): kind ``glpy`` holds the Python source
-plus a marshalled code object (tagged with the interpreter's
-``cache_tag``), kind ``glso`` the C source plus the compiled shared
-object.  Keys compose the netlist's structural fingerprint with the
-backend, lane word width, and codegen/schedule versions, so replay
-worker processes compile-or-load at init and any structural change
-invalidates automatically.  A cached shared object that no longer
-loads (toolchain/arch change) is counted as ``cache.glso.stale``,
-warned about once, and rebuilt live instead of raised.
+The shared object is compiled once per machine: its artifact-cache
+entry (kind ``glsim``) is keyed by the hash of ``libglsim.c``, the
+compiler's path and ``--version``, and one fixed flag set.  A cached
+object that no longer loads is counted as ``cache.glsim.stale``,
+warned about once and rebuilt.  With no usable C compiler the ``c``
+request degrades to the interpreter (one warning); ``auto`` degrades
+silently.  Netlists the kernel cannot express — SRAM words wider than
+64 bits, addresses wider than 62 bits — take the same fallback.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import marshal
 import os
-import pickle
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 import warnings
-from array import array
 
 import numpy as np
 
-from .netlist import CONST0, CONST1
 from .gl_sim import StimulusMismatch, _note_step_phases
 from ..obs import get_tracer, get_registry
 
-#: Bump when the lowering rules or kernel ABI change (cache invalidation).
-#: 3: whole-cycle ``gl_run_cycles`` entry point (native toggle counting,
-#: DFF commit, SRAM write ports, packed stimulus, forces).
-GLCODEGEN_VERSION = 3
-
-#: Word width of the lane representation the kernels are generated for.
-#: Kernels are lane-oblivious (full-word bitwise ops), so one artifact
-#: serves every simulator lane count up to this width.
-WORD_LANES = 64
+#: Bump when the kernel ABI changes (cache invalidation).
+#: 4: one fixed ``libglsim.c`` taking the netlist as a program.
+GLCODEGEN_VERSION = 4
 
 _ENV_BACKEND = "REPRO_GL_BACKEND"
 _ENV_CC = "REPRO_GL_CC"
-_ENV_CFLAGS = "REPRO_GL_CFLAGS"
 _ENV_OVERLAP = "REPRO_GL_OVERLAP"
 
-BACKENDS = ("interp", "compiled", "c", "auto")
+BACKENDS = ("interp", "c", "auto")
 
-_M_INT = 0xFFFFFFFFFFFFFFFF
-_CHUNK = 1500       # statements per generated C function (keeps cc fast)
+_SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "libglsim.c")
+_CFLAGS = ("-O2",)
+
+#: Cell name -> opcode of ``eval_group`` in ``libglsim.c``.
+CELL_CODES = {"INV": 0, "BUF": 1, "AND2": 2, "OR2": 3, "XOR2": 4,
+              "XNOR2": 5, "NAND2": 6, "NOR2": 7, "MUX2": 8}
 
 _WARNED = set()
+_COMPILER_IDS = {}      # compiler path -> its --version text
+# hash of .so bytes -> its CDLL: ctypes never unloads, so every object
+# is mapped at most once per process
+_LOADED = {}
 
 
 class GLCodegenError(Exception):
@@ -98,7 +74,8 @@ class GLCodegenError(Exception):
 
 
 class GLCodegenUnavailable(GLCodegenError):
-    """Requested backend cannot be built here (e.g. no C compiler)."""
+    """The native kernel cannot run here (no compiler, or a netlist it
+    cannot express)."""
 
 
 def _warn_once(event, message):
@@ -114,8 +91,8 @@ def reset_warnings():
 
 
 def resolve_backend(backend=None):
-    """Normalize a backend request: explicit arg > env var > interp."""
-    value = backend or os.environ.get(_ENV_BACKEND) or "interp"
+    """Normalize a backend request: explicit arg > env var > auto."""
+    value = backend or os.environ.get(_ENV_BACKEND) or "auto"
     if value not in BACKENDS:
         raise GLCodegenError(
             f"unknown gate-level backend {value!r} "
@@ -144,620 +121,108 @@ def resolve_overlap(overlap=None):
     return overlap
 
 
-def netlist_fingerprint(netlist):
-    """Structural content hash of a netlist (memoized on the instance).
+# -- the netlist as a program -----------------------------------------------
 
-    Hashes the same column serialization the netlist pickles as, so two
-    netlists that replay identically share one fingerprint regardless
-    of which pipeline produced them — the kernel cache dedups across
-    pipelines for free.
-    """
-    cached = getattr(netlist, "_glcodegen_fp", None)
-    if cached is not None:
-        return cached
-    payload = pickle.dumps(netlist.__getstate__(),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    fp = hashlib.blake2b(payload, digest_size=20).hexdigest()
-    try:
-        netlist._glcodegen_fp = fp
-    except Exception:
-        pass
-    return fp
+class _GlProg(ctypes.Structure):
+    """Mirror of ``gl_prog`` in ``libglsim.c``."""
 
-
-def kernel_cache_key(netlist, backend, schedule):
-    """Content-addressed cache key for one generated kernel.
-
-    For the ``c`` backend the effective compiler flag string is folded
-    in, so changing ``$REPRO_GL_CFLAGS`` rebuilds the shared object
-    instead of silently loading one compiled under different flags.
-    """
-    from ..passes import compose_cache_key
-    extra = {}
-    if backend == "c":
-        extra["cflags"] = " ".join(_cc_flags())
-    return compose_cache_key(
-        netlist_fingerprint(netlist), "",
-        lanes=WORD_LANES, backend=backend,
-        codegen=GLCODEGEN_VERSION, schedule=schedule.version, **extra)
+    _fields_ = [
+        ("n_nets", ctypes.c_int64),
+        ("n_dff", ctypes.c_int64),
+        ("n_levels", ctypes.c_int64),
+        ("n_wports", ctypes.c_int64),
+        ("levels", ctypes.c_void_p),
+        ("groups", ctypes.c_void_p),
+        ("gates", ctypes.c_void_p),
+        ("rports", ctypes.c_void_p),
+        ("wports", ctypes.c_void_p),
+        ("port_nets", ctypes.c_void_p),
+        ("dff_d", ctypes.c_void_p),
+        ("dff_q", ctypes.c_void_p),
+    ]
 
 
-# -- lowering ---------------------------------------------------------------
-
-def _py_expr(cell, a, b, c):
-    """Python uint64 expression for one gate; operands are expressions.
-
-    ``M`` is the all-ones word in the generated function's scope.  Every
-    operator keeps values below 2**64 (no shifts), so the Python ints
-    never grow beyond one machine word.
-    """
-    if cell == "INV":
-        return f"{a} ^ M"
-    if cell == "BUF":
-        return a
-    if cell == "AND2":
-        return f"{a} & {b}"
-    if cell == "OR2":
-        return f"{a} | {b}"
-    if cell == "XOR2":
-        return f"{a} ^ {b}"
-    if cell == "XNOR2":
-        return f"({a} ^ {b}) ^ M"
-    if cell == "NAND2":
-        return f"({a} & {b}) ^ M"
-    if cell == "NOR2":
-        return f"({a} | {b}) ^ M"
-    if cell == "MUX2":
-        # sel ? b : c as c ^ ((b ^ c) & sel): 3 ops, no mask temporary
-        return f"{c} ^ (({b} ^ {c}) & {a})"
-    raise GLCodegenError(f"cannot lower cell {cell!r}")
+def _too_wide_address(macro, nets, kind):
+    if len(nets) > 62:
+        raise GLCodegenUnavailable(
+            f"SRAM macro {macro.name!r} has a {len(nets)}-bit {kind} "
+            f"address; the kernel assembles addresses in an int64")
 
 
-def _c_expr(cell, a, b, c):
-    """C uint64_t expression for one gate (native ~ for inversions)."""
-    if cell == "INV":
-        return f"~{a}"
-    if cell == "BUF":
-        return a
-    if cell == "AND2":
-        return f"{a} & {b}"
-    if cell == "OR2":
-        return f"{a} | {b}"
-    if cell == "XOR2":
-        return f"{a} ^ {b}"
-    if cell == "XNOR2":
-        return f"~({a} ^ {b})"
-    if cell == "NAND2":
-        return f"~({a} & {b})"
-    if cell == "NOR2":
-        return f"~({a} | {b})"
-    if cell == "MUX2":
-        return f"{c} ^ (({b} ^ {c}) & {a})"
-    raise GLCodegenError(f"cannot lower cell {cell!r}")
+def build_program(netlist, schedule):
+    """The schedule's arrays in the layout ``gl_prog`` walks.
 
-
-def _iter_gates(groups):
-    """Yield (cell, out, in0, in1, in2) per gate from a level's groups."""
-    for cell, outs, in0, in1, in2 in groups:
-        outs_l = outs.tolist()
-        in0_l = in0.tolist()
-        in1_l = in1.tolist() if in1 is not None else None
-        in2_l = in2.tolist() if in2 is not None else None
-        for j, out in enumerate(outs_l):
-            yield (cell, out, in0_l[j],
-                   in1_l[j] if in1_l is not None else None,
-                   in2_l[j] if in2_l is not None else None)
-
-
-def generate_python_source(netlist, schedule):
-    """Emit the straight-line Python evaluator for one netlist.
-
-    The generated function has signature ``_gl_eval(L, M, RAMS)`` where
-    ``L`` is the current value list (one Python int per net), ``M`` the
-    all-ones word, and ``RAMS`` the read-port callbacks in schedule
-    order; it returns the fully settled value list.  Net values live in
-    locals (``v<net>``), the cheapest storage CPython has; nets that
-    are only read (inputs, DFF outputs, untouched state) are preloaded
-    from ``L`` once.
-    """
-    defined = set()
-    preloads = []
-    preloaded = set()
-
-    def ref(net):
-        if net == CONST0:
-            return "0"
-        if net == CONST1:
-            return "M"
-        if net not in defined and net not in preloaded:
-            preloaded.add(net)
-            preloads.append(f"    v{net} = L[{net}]")
-        return f"v{net}"
-
-    body = []
-    ram_ordinal = 0
-    for groups, rams in schedule.levels:
-        for cell, out, i0, i1, i2 in _iter_gates(groups):
-            expr = _py_expr(cell, ref(i0),
-                            ref(i1) if i1 is not None else None,
-                            ref(i2) if i2 is not None else None)
-            body.append(f"    v{out} = {expr}")
-            defined.add(out)
-        for macro_idx, port_idx in rams:
-            addr_arr, _w, data_arr = schedule.ram_ports[macro_idx][port_idx]
-            addrs = [ref(n) for n in addr_arr.tolist()]
-            addr_tuple = (f"({addrs[0]},)" if len(addrs) == 1
-                          else f"({', '.join(addrs)})")
-            data_nets = data_arr.tolist()
-            targets = ", ".join(f"v{n}" for n in data_nets)
-            if len(data_nets) == 1:
-                targets += ","
-            body.append(f"    {targets} = "
-                        f"RAMS[{ram_ordinal}]({addr_tuple})")
-            defined.update(data_nets)
-            ram_ordinal += 1
-
-    known = defined | preloaded
-    entries = []
-    for net in range(netlist.n_nets):
-        if net == CONST0:
-            entries.append("0")
-        elif net == CONST1:
-            entries.append("M")
-        elif net in known:
-            entries.append(f"v{net}")
-        else:
-            entries.append(f"L[{net}]")
-    lines = ["def _gl_eval(L, M, RAMS):"]
-    lines.extend(preloads)
-    lines.extend(body)
-    lines.append(f"    return [{', '.join(entries)}]")
-    return "\n".join(lines)
-
-
-def _c_const_array(name, values, ctype="int64_t"):
-    """Emit a static const C array (at least one element)."""
-    vals = list(values) or [0]
-    lines = [f"static const {ctype} {name}[] = {{"]
-    for i in range(0, len(vals), 16):
-        lines.append("  " + ", ".join(str(v) for v in vals[i:i + 16])
-                     + ",")
-    lines.append("};")
-    return lines
-
-
-def generate_c_source(netlist, schedule):
-    """Emit the whole-cycle C translation unit for one netlist.
-
-    Two exported entry points share one generated eval core
-    (``eval_once``: chunked straight-line gate statements, native SRAM
-    read ports, force application at the interpreter's exact points —
-    before the first level and after every level):
-
-    * ``gl_eval(V, stores, lasts, reads, lanes)`` — settle combinational
-      logic once, forces off (the PR-6 ABI, kept for single evals);
-    * ``gl_run_cycles(gl_state *S, gl_run *R)`` — the whole-replay hot
-      loop.  For each of ``R->n_cycles`` cycles it applies packed pokes,
-      installs that cycle's force segment (or the ambient forces),
-      settles logic, evaluates expected-output checks (counting
-      mismatching lanes, or stopping at the first one in strict mode),
-      ripple-carry adds the XOR diff into the vertical toggle-counter
-      arena, runs every SRAM write port, and gather/scatter-commits the
-      DFFs — all natively, so a replay batch is **one** GIL-releasing
-      foreign call.  Returns the number of fully committed cycles
-      (``< n_cycles`` only on a strict stop, recorded in ``R->stop`` as
-      ``{cycle, flat check index, lane}``).
-
-    ``gl_state`` points at the simulator's live numpy buffers (values,
-    prev-values, toggle arena + in-use plane count, SRAM stores,
-    read-port memos, access counters, DFF scratch); ``gl_run`` at the
-    :class:`~repro.gatelevel.gl_sim.PackedStimulus` flat arrays.  Gate
-    chunks compile at the translation unit's base optimization level
-    (codegen keeps ``-O0`` compile times tolerable on big netlists)
-    while the fixed-size runtime helpers — toggle tick, write ports,
-    DFF commit, the run driver — are annotated ``HOT`` (``-O2`` under
-    gcc) since they dominate the per-cycle work and never grow with
-    netlist size.  Raises :class:`GLCodegenUnavailable` for netlists
-    the C lowering cannot express (SRAM words or addresses wider than
-    64/62 bits — those stay on the arbitrary-precision Python paths).
+    Returns ``(prog, arrays)``: the ctypes struct and the numpy arrays
+    it points into (keep both alive together).  Raises
+    :class:`GLCodegenUnavailable` for SRAM words wider than 64 bits or
+    addresses wider than 62 bits.
     """
     for macro in netlist.srams:
         if macro.width > 64:
             raise GLCodegenUnavailable(
                 f"SRAM macro {macro.name!r} is {macro.width} bits wide; "
-                f"the C lowering packs one uint64 word per entry")
-        for _en, addr_nets, _data_nets in macro.write_ports:
-            if len(addr_nets) > 62:
-                raise GLCodegenUnavailable(
-                    f"SRAM macro {macro.name!r} has a "
-                    f"{len(addr_nets)}-bit write address; the C "
-                    f"lowering assembles addresses in an int64")
-    n_dff = len(netlist.dffs)
-    parts = [
-        "#include <stdint.h>",
-        "#include <time.h>",
-        "#define M 0xFFFFFFFFFFFFFFFFULL",
-        f"#define N_NETS {netlist.n_nets}",
-        f"#define N_DFF {n_dff}",
-        "#if defined(__GNUC__) && !defined(__clang__)",
-        '#define HOT __attribute__((optimize("O2")))',
-        "#else",
-        "#define HOT",
-        "#endif",
-        "typedef struct {",
-        "  int64_t n;",
-        "  const int64_t *nets;",
-        "  const uint64_t *masks;",
-        "  const uint64_t *vals;",
-        "} gl_forces;",
-        "static HOT void apply_forces(uint64_t *V, "
-        "const gl_forces *F) {",
-        "  for (int64_t i = 0; i < F->n; i++) {",
-        "    int64_t net = F->nets[i];",
-        "    V[net] = (V[net] & ~F->masks[i]) | F->vals[i];",
-        "  }",
-        "}",
-        "static HOT int64_t lowbit(uint64_t x) {",
-        "#if defined(__GNUC__)",
-        "  return (int64_t)__builtin_ctzll(x);",
-        "#else",
-        "  int64_t i = 0;",
-        "  while (!((x >> i) & 1)) i++;",
-        "  return i;",
-        "#endif",
-        "}",
-    ]
+                f"the kernel packs one uint64 word per entry")
+        for _en, addr_nets, _data in macro.write_ports:
+            _too_wide_address(macro, addr_nets, "write")
+    levels, groups, quads, rports, port_nets = [], [], [], [], []
 
-    def ref(net):
-        if net == CONST0:
-            return "0ULL"
-        if net == CONST1:
-            return "M"
-        return f"V[{net}]"
+    def nets_span(nets):
+        start = len(port_nets)
+        port_nets.extend(int(net) for net in nets)
+        return start, len(nets)
 
-    driver = []
-    stmts = []
-    chunk_id = 0
-    ram_id = 0
-
-    def flush_chunks():
-        nonlocal stmts, chunk_id
-        for start in range(0, len(stmts), _CHUNK):
-            fn = f"chunk_{chunk_id}"
-            chunk_id += 1
-            parts.append(f"static void {fn}(uint64_t *V, "
-                         f"const gl_forces *F) {{")
-            parts.append("  (void)F;")
-            parts.extend(stmts[start:start + _CHUNK])
-            parts.append("}")
-            driver.append(f"  {fn}(V, F);")
-        stmts = []
-
-    for groups, rams in schedule.levels:
-        for cell, out, i0, i1, i2 in _iter_gates(groups):
-            expr = _c_expr(cell, ref(i0),
-                           ref(i1) if i1 is not None else None,
-                           ref(i2) if i2 is not None else None)
-            stmts.append(f"  V[{out}] = {expr};")
+    n_gates = 0
+    for level_groups, rams in schedule.levels:
+        for cell, outs, in0, in1, in2 in level_groups:
+            if cell not in CELL_CODES:
+                raise GLCodegenUnavailable(f"cannot lower cell {cell!r}")
+            quad = np.zeros((len(outs), 4), dtype=np.int32)
+            for col, arr in enumerate((outs, in0, in1, in2)):
+                if arr is not None:
+                    quad[:, col] = arr
+            groups.append((CELL_CODES[cell], n_gates, n_gates + len(outs)))
+            quads.append(quad)
+            n_gates += len(outs)
         for macro_idx, port_idx in rams:
-            flush_chunks()
             macro = netlist.srams[macro_idx]
-            addr_arr, _w, data_arr = (
-                schedule.ram_ports[macro_idx][port_idx])
-            addr_nets = addr_arr.tolist()
-            data_nets = data_arr.tolist()
-            if len(addr_nets) > 62:
-                raise GLCodegenUnavailable(
-                    f"SRAM macro {macro.name!r} has a "
-                    f"{len(addr_nets)}-bit read address; the C "
-                    f"lowering assembles addresses in an int64")
-            width = len(data_nets)
-            terms = []
-            for i, net in enumerate(addr_nets):
-                bit = f"(int64_t)(({ref(net)} >> lane) & 1)"
-                terms.append(f"({bit} << {i})" if i else bit)
-            fn = f"ram_{ram_id}"
-            parts.append(
-                f"static HOT void {fn}(uint64_t *V, const uint64_t *S, "
-                f"int64_t *LA, int64_t *RD, int64_t lanes) {{")
-            parts.append(f"  uint64_t acc[{width}] = {{0}};")
-            parts.append("  for (int64_t lane = 0; lane < lanes; "
-                         "lane++) {")
-            parts.append(f"    int64_t addr = {' | '.join(terms)};")
-            parts.append(
-                f"    uint64_t w = addr < {macro.depth} ? "
-                f"S[(uint64_t)lane * {macro.depth}u + (uint64_t)addr] "
-                f": 0;")
-            parts.append(
-                f"    for (int j = 0; j < {width}; j++) "
-                f"acc[j] |= ((w >> j) & 1) << lane;")
-            parts.append("    if (addr != LA[lane]) "
-                         "{ LA[lane] = addr; RD[lane] += 1; }")
-            parts.append("  }")
-            parts.extend(f"  V[{net}] = acc[{j}];"
-                         for j, net in enumerate(data_nets))
-            parts.append("}")
-            driver.append(
-                f"  ram_{ram_id}(V, stores[{macro_idx}], "
-                f"lasts[{ram_id}], reads + {macro_idx} * lanes, "
-                f"lanes);")
-            ram_id += 1
-        # forces re-assert after every level, matching the interpreter
-        stmts.append("  if (F->n) apply_forces(V, F);")
-    flush_chunks()
-
-    parts.append("static void eval_once(uint64_t *V, "
-                 "const gl_forces *F, uint64_t **stores, "
-                 "int64_t **lasts, int64_t *reads, int64_t lanes) {")
-    parts.append("  (void)stores; (void)lasts; (void)reads; "
-                 "(void)lanes;")
-    parts.append("  if (F->n) apply_forces(V, F);")
-    parts.extend(driver)
-    parts.append("}")
-
-    parts.append("void gl_eval(uint64_t *V, uint64_t **stores, "
-                 "int64_t **lasts, int64_t *reads, int64_t lanes) {")
-    parts.append("  gl_forces F = {0, 0, 0, 0};")
-    parts.append("  eval_once(V, &F, stores, lasts, reads, lanes);")
-    parts.append("}")
-
-    # -- whole-cycle runtime --------------------------------------------
-    parts.extend(_c_const_array(
-        "DFF_D", schedule.dff_d[:n_dff].tolist() if n_dff else []))
-    parts.extend(_c_const_array(
-        "DFF_Q", schedule.dff_q[:n_dff].tolist() if n_dff else []))
-    parts.extend([
-        "static HOT void commit_dffs(uint64_t *V, uint64_t *T) {",
-        "  for (int64_t i = 0; i < N_DFF; i++) T[i] = V[DFF_D[i]];",
-        "  for (int64_t i = 0; i < N_DFF; i++) V[DFF_Q[i]] = T[i];",
-        "}",
-        # Fused XOR-diff + prev update + vertical ripple-carry add.
-        # Walking planes at stride N_NETS is fine: the carry usually
-        # dies after one or two planes.
-        "static HOT int64_t toggle_tick(uint64_t *V, uint64_t *P, "
-        "uint64_t *PL, int64_t cap, int64_t used, uint64_t active) {",
-        "  for (int64_t i = 0; i < N_NETS; i++) {",
-        "    uint64_t cur = V[i];",
-        "    uint64_t carry = (cur ^ P[i]) & active;",
-        "    P[i] = cur;",
-        "    int64_t p = 0;",
-        "    while (carry && p < cap) {",
-        "      uint64_t *pl = PL + (uint64_t)p * N_NETS + i;",
-        "      uint64_t nc = *pl & carry;",
-        "      *pl ^= carry;",
-        "      carry = nc;",
-        "      p++;",
-        "    }",
-        "    if (p > used) used = p;",
-        "  }",
-        "  return used;",
-        "}",
-        "static double now_ns(void) {",
-        "  struct timespec ts;",
-        "  clock_gettime(CLOCK_MONOTONIC, &ts);",
-        "  return (double)ts.tv_sec * 1e9 + (double)ts.tv_nsec;",
-        "}",
-    ])
-
-    wport_driver = []
-    wport_id = 0
+            addr_arr, _w, data_arr = schedule.ram_ports[macro_idx][port_idx]
+            _too_wide_address(macro, addr_arr, "read")
+            rports.append((macro_idx, macro.depth, *nets_span(addr_arr),
+                           *nets_span(data_arr)))
+        levels.append((len(groups), len(rports)))
+    wports = []
     for macro_idx, macro in enumerate(netlist.srams):
         for en, addr_nets, data_nets in macro.write_ports:
-            terms = []
-            for i, net in enumerate(addr_nets):
-                bit = f"(int64_t)(({ref(net)} >> lane) & 1)"
-                terms.append(f"({bit} << {i})" if i else bit)
-            dterms = []
-            for i, net in enumerate(data_nets):
-                bit = f"(({ref(net)} >> lane) & 1)"
-                dterms.append(f"({bit} << {i})" if i else bit)
-            fn = f"wport_{wport_id}"
-            parts.append(
-                f"static HOT void {fn}(uint64_t *V, uint64_t *S, "
-                f"int64_t *WR, uint64_t active) {{")
-            parts.append(f"  uint64_t en = {ref(en)} & active;")
-            parts.append("  while (en) {")
-            parts.append("    int64_t lane = lowbit(en);")
-            parts.append("    en &= en - 1;")
-            parts.append(
-                f"    int64_t addr = "
-                f"{' | '.join(terms) if terms else '0'};")
-            parts.append(f"    if (addr >= {macro.depth}) continue;")
-            parts.append(
-                f"    uint64_t w = "
-                f"{' | '.join(dterms) if dterms else '0ULL'};")
-            parts.append(
-                f"    S[(uint64_t)lane * {macro.depth}u + "
-                f"(uint64_t)addr] = w;")
-            parts.append("    WR[lane] += 1;")
-            parts.append("  }")
-            parts.append("}")
-            wport_driver.append(
-                f"    wport_{wport_id}(V, S->stores[{macro_idx}], "
-                f"S->writes + {macro_idx} * lanes, S->active_mask);")
-            wport_id += 1
+            wports.append((macro_idx, macro.depth, en,
+                           *nets_span(addr_nets), *nets_span(data_nets)))
 
-    parts.extend([
-        "typedef struct {",
-        "  uint64_t *V;",
-        "  uint64_t *PREV;",
-        "  uint64_t *PLANES;",
-        "  int64_t planes_cap;",
-        "  int64_t *planes_used;",
-        "  uint64_t **stores;",
-        "  int64_t **lasts;",
-        "  int64_t *reads;",
-        "  int64_t *writes;",
-        "  uint64_t *dff_tmp;",
-        "  int64_t lanes;",
-        "  uint64_t active_mask;",
-        "} gl_state;",
-        "typedef struct {",
-        "  int64_t n_cycles;",
-        "  const int64_t *poke_counts;",
-        "  const uint64_t *poke_masks;",
-        "  const int64_t *poke_off;",
-        "  const int64_t *poke_cnt;",
-        "  const int64_t *poke_nets;",
-        "  const uint64_t *poke_words;",
-        "  const int64_t *check_counts;",
-        "  const uint64_t *check_masks;",
-        "  const int64_t *check_off;",
-        "  const int64_t *check_cnt;",
-        "  const int64_t *check_nets;",
-        "  const uint64_t *check_words;",
-        "  const int64_t *force_counts;",
-        "  const int64_t *force_off;",
-        "  const int64_t *force_nets;",
-        "  const uint64_t *force_masks;",
-        "  const uint64_t *force_vals;",
-        "  int64_t ambient_n;",
-        "  const int64_t *ambient_nets;",
-        "  const uint64_t *ambient_masks;",
-        "  const uint64_t *ambient_vals;",
-        "  int64_t strict;",
-        "  int64_t *mismatches;",
-        "  int64_t *stop;",
-        "  int64_t profile;",
-        "  double *phase_ns;",
-        "} gl_run;",
-        "HOT int64_t gl_run_cycles(gl_state *S, gl_run *R) {",
-        "  uint64_t *V = S->V;",
-        "  int64_t lanes = S->lanes;",
-        "  int64_t used = *S->planes_used;",
-        "  int64_t poke_op = 0, check_op = 0;",
-        "  gl_forces F;",
-        "  double t0 = 0.0, t1 = 0.0;",
-        "  R->stop[0] = -1; R->stop[1] = -1; R->stop[2] = -1;",
-        "  for (int64_t t = 0; t < R->n_cycles; t++) {",
-        "    if (R->profile) t0 = now_ns();",
-        "    if (R->poke_counts) {",
-        "      int64_t ops = R->poke_counts[t];",
-        "      for (int64_t k = 0; k < ops; k++, poke_op++) {",
-        "        uint64_t mask = R->poke_masks[poke_op];",
-        "        int64_t off = R->poke_off[poke_op];",
-        "        int64_t cnt = R->poke_cnt[poke_op];",
-        "        const int64_t *nets = R->poke_nets + off;",
-        "        const uint64_t *words = R->poke_words + off;",
-        "        for (int64_t j = 0; j < cnt; j++)",
-        "          V[nets[j]] = (V[nets[j]] & ~mask) | "
-        "(words[j] & mask);",
-        "      }",
-        "    }",
-        "    if (R->force_counts) {",
-        "      F.n = R->force_counts[t];",
-        "      F.nets = R->force_nets + R->force_off[t];",
-        "      F.masks = R->force_masks + R->force_off[t];",
-        "      F.vals = R->force_vals + R->force_off[t];",
-        "    } else {",
-        "      F.n = R->ambient_n;",
-        "      F.nets = R->ambient_nets;",
-        "      F.masks = R->ambient_masks;",
-        "      F.vals = R->ambient_vals;",
-        "    }",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[0] += t1 - t0; t0 = t1; }",
-        "    eval_once(V, &F, S->stores, S->lasts, S->reads, lanes);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[1] += t1 - t0; t0 = t1; }",
-        "    if (R->check_counts) {",
-        "      int64_t ops = R->check_counts[t];",
-        "      for (int64_t k = 0; k < ops; k++, check_op++) {",
-        "        int64_t off = R->check_off[check_op];",
-        "        int64_t cnt = R->check_cnt[check_op];",
-        "        const int64_t *nets = R->check_nets + off;",
-        "        const uint64_t *words = R->check_words + off;",
-        "        uint64_t diff = 0;",
-        "        for (int64_t j = 0; j < cnt; j++)",
-        "          diff |= V[nets[j]] ^ words[j];",
-        "        diff &= R->check_masks[check_op];",
-        "        while (diff) {",
-        "          int64_t lane = lowbit(diff);",
-        "          diff &= diff - 1;",
-        "          R->mismatches[lane] += 1;",
-        "          if (R->strict) {",
-        "            R->stop[0] = t; R->stop[1] = check_op; "
-        "R->stop[2] = lane;",
-        "            *S->planes_used = used;",
-        "            return t;",
-        "          }",
-        "        }",
-        "      }",
-        "    }",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[2] += t1 - t0; t0 = t1; }",
-        "    used = toggle_tick(V, S->PREV, S->PLANES, "
-        "S->planes_cap, used, S->active_mask);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[3] += t1 - t0; t0 = t1; }",
-        *wport_driver,
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[4] += t1 - t0; t0 = t1; }",
-        "    commit_dffs(V, S->dff_tmp);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[5] += t1 - t0; t0 = t1; }",
-        "  }",
-        "  *S->planes_used = used;",
-        "  return R->n_cycles;",
-        "}",
-    ])
-    return "\n".join(parts)
+    def table(rows, width):
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+    n_dff = len(netlist.dffs)
+    arrays = {
+        "levels": table(levels, 2),
+        "groups": table(groups, 3),
+        "gates": (np.concatenate(quads) if quads
+                  else np.zeros((0, 4), dtype=np.int32)),
+        "rports": table(rports, 6),
+        "wports": table(wports, 7),
+        "port_nets": np.array(port_nets, dtype=np.int64),
+        "dff_d": np.ascontiguousarray(schedule.dff_d[:n_dff],
+                                      dtype=np.int64),
+        "dff_q": np.ascontiguousarray(schedule.dff_q[:n_dff],
+                                      dtype=np.int64),
+    }
+    prog = _GlProg(n_nets=netlist.n_nets, n_dff=n_dff,
+                   n_levels=len(levels), n_wports=len(wports),
+                   **{name: arr.ctypes.data for name, arr in arrays.items()})
+    return prog, arrays
 
 
-# -- kernels ----------------------------------------------------------------
-
-# np.frombuffer over an array.array gives a zero-copy *writable* view
-# (array.array exports a writable buffer); probe once in case an exotic
-# numpy build disagrees, and fall back to copying into the old array.
-_FROMBUFFER_WRITABLE = np.frombuffer(
-    array("Q", [0]), dtype=np.uint64).flags.writeable
-
-
-def _make_ram_callbacks(sim):
-    """Per-simulator read-port callbacks, in schedule traversal order."""
-    cbs = []
-    for _groups, rams in sim.schedule.levels:
-        for macro_idx, port_idx in rams:
-            def cb(addr_words, _m=macro_idx, _p=port_idx, _sim=sim):
-                words = _sim._read_port_lanes(
-                    _m, _p, np.array(addr_words, dtype=np.uint64))
-                return words.tolist()
-            cbs.append(cb)
-    return cbs
-
-
-class PythonKernel:
-    """exec-generated straight-line evaluator (backend ``compiled``).
-
-    ``eval`` round-trips the value array through a Python list: the
-    kernel consumes ``values.tolist()``, computes every net in locals,
-    and returns the settled list, which becomes the new value array via
-    ``array('Q')`` + zero-copy ``np.frombuffer`` — the cheapest
-    list->uint64-array path CPython offers.  Rebinding ``sim._values``
-    is safe because every consumer reads the attribute afresh.
-    """
-
-    backend = "compiled"
-
-    def __init__(self, fn, source, compile_seconds=0.0, from_cache=False):
-        self._fn = fn
-        self.source = source
-        self.compile_seconds = compile_seconds
-        self.from_cache = from_cache
-
-    def install(self, sim):
-        sim._gl_ram_cbs = _make_ram_callbacks(sim)
-
-    def eval(self, sim):
-        out = self._fn(sim._values.tolist(), _M_INT, sim._gl_ram_cbs)
-        if _FROMBUFFER_WRITABLE:
-            sim._values = np.frombuffer(array("Q", out), dtype=np.uint64)
-        else:
-            sim._values[:] = out
-
+# -- the kernel -------------------------------------------------------------
 
 class _GlState(ctypes.Structure):
-    """Mirror of the generated ``gl_state`` struct (live sim buffers)."""
+    """Mirror of ``gl_state`` (the simulator's live buffers)."""
 
     _fields_ = [
         ("V", ctypes.c_void_p),
@@ -775,8 +240,19 @@ class _GlState(ctypes.Structure):
     ]
 
 
+class _GlForces(ctypes.Structure):
+    """Mirror of ``gl_forces``."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("nets", ctypes.c_void_p),
+        ("masks", ctypes.c_void_p),
+        ("vals", ctypes.c_void_p),
+    ]
+
+
 class _GlRun(ctypes.Structure):
-    """Mirror of the generated ``gl_run`` struct (packed stimulus)."""
+    """Mirror of ``gl_run`` (one call's packed stimulus)."""
 
     _fields_ = [
         ("n_cycles", ctypes.c_int64),
@@ -809,97 +285,72 @@ class _GlRun(ctypes.Structure):
     ]
 
 
+_STIM_FIELDS = ("poke_counts", "poke_masks", "poke_off", "poke_cnt",
+                "poke_nets", "poke_words", "check_counts", "check_masks",
+                "check_off", "check_cnt", "check_nets", "check_words")
+_FORCE_FIELDS = ("force_counts", "force_off", "force_nets", "force_masks",
+                 "force_vals")
+
+
 def _data_ptr(arr):
     """Raw data pointer of a numpy array, or 0 for ``None``."""
     return arr.ctypes.data if arr is not None else 0
 
 
 class CKernel:
-    """gcc+ctypes whole-cycle evaluator (backend ``c``).
+    """One netlist's program bound to the machine's ``libglsim`` object.
 
     Operates in place on the simulator's numpy buffers — value array,
     SRAM word stores, last-address memos, access counters, the toggle
-    arena — through raw pointers.  The long-lived pointer tables are
-    bound once per simulator in :meth:`install`; buffers the simulator
-    is allowed to *rebind* (``_prev`` on ``clear_activity``, the toggle
-    arena on growth) are re-read per call in :meth:`run_cycles`, which
-    executes an entire replay batch — stimulus, eval, checks, toggle
-    counting, SRAM write ports, DFF commit — as one foreign call that
-    releases the GIL (ctypes drops it around every ``CDLL`` call), so
-    threads running independent batches overlap natively.
+    arena — through raw pointers.  The pointer tables that live as long
+    as a simulator are bound in :meth:`install`; buffers the simulator
+    may *rebind* (``_prev`` on ``clear_activity``, the toggle arena on
+    growth) are read afresh on every call.  The program is read-only,
+    so one kernel serves any number of simulators on any threads.
     """
 
     backend = "c"
 
-    def __init__(self, lib, source, workdir,
-                 compile_seconds=0.0, from_cache=False):
+    def __init__(self, lib, program, compile_seconds=0.0,
+                 from_cache=False):
         self._lib = lib                    # keep the CDLL alive
-        self._ptr_t = ctypes.POINTER(ctypes.c_uint64)
-        fn = lib.gl_eval
-        fn.argtypes = [self._ptr_t,
-                       ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_int64),
-                       ctypes.c_int64]
-        fn.restype = None
-        self._fn = fn
-        run = lib.gl_run_cycles
-        run.argtypes = [ctypes.POINTER(_GlState), ctypes.POINTER(_GlRun)]
-        run.restype = ctypes.c_int64
-        self._run = run
-        self.source = source
-        self.workdir = workdir
+        self._prog, self._arrays = program
+        lib.gl_eval.argtypes = [ctypes.POINTER(_GlProg),
+                                ctypes.POINTER(_GlState),
+                                ctypes.POINTER(_GlForces)]
+        lib.gl_eval.restype = None
+        lib.gl_run_cycles.argtypes = [ctypes.POINTER(_GlProg),
+                                      ctypes.POINTER(_GlState),
+                                      ctypes.POINTER(_GlRun)]
+        lib.gl_run_cycles.restype = ctypes.c_int64
         self.compile_seconds = compile_seconds
         self.from_cache = from_cache
 
     def install(self, sim):
-        n_srams = len(sim.netlist.srams)
-        stores = (ctypes.c_void_p * max(n_srams, 1))()
+        stores = (ctypes.c_void_p * max(len(sim._sram_data), 1))()
         for i, store in enumerate(sim._sram_data):
             stores[i] = store.ctypes.data
-        port_memos = []
-        for _groups, rams in sim.schedule.levels:
-            port_memos.extend(sim._last_addrs[m][p] for m, p in rams)
-        lasts = (ctypes.c_void_p * max(len(port_memos), 1))()
-        for i, memo in enumerate(port_memos):
+        memos = [sim._last_addrs[m][p]
+                 for _groups, rams in sim.schedule.levels for m, p in rams]
+        lasts = (ctypes.c_void_p * max(len(memos), 1))()
+        for i, memo in enumerate(memos):
             lasts[i] = memo.ctypes.data
-        reads = sim.sram_reads.ctypes.data_as(
-            ctypes.POINTER(ctypes.c_int64))
-        sim._gl_c_args = (stores, lasts, reads,
-                          ctypes.c_int64(sim.lanes))
-        # keep the memo arrays reachable while the pointer table lives
-        sim._gl_c_memos = port_memos
-        # per-simulator DFF gather scratch: commit must read every D
-        # before scattering to Q (aliasing), and it cannot live in the
-        # .so because one library serves many sims on many threads
-        sim._gl_dff_tmp = np.zeros(
-            max(len(sim.netlist.dffs), 1), dtype=np.uint64)
+        # the tables point into these arrays; keep them reachable
+        sim._gl_c_tables = (stores, lasts, memos)
+        # per-simulator DFF gather scratch: commit reads every D before
+        # scattering to Q, and threads share the library
+        sim._gl_dff_tmp = np.zeros(max(len(sim.netlist.dffs), 1),
+                                   dtype=np.uint64)
 
-    def eval(self, sim):
-        stores, lasts, reads, lanes = sim._gl_c_args
-        self._fn(sim._values.ctypes.data_as(self._ptr_t),
-                 stores, lasts, reads, lanes)
-
-    def run_cycles(self, sim, n, stim, strict, mismatches):
-        """Run ``n`` cycles natively; returns committed-cycle count.
-
-        Builds the ``gl_state`` view fresh per call (``_prev`` and the
-        toggle arena may have been rebound since the last one), hands
-        the packed stimulus' flat arrays to ``gl_run_cycles``, then
-        syncs the plane count and cycle counter back and raises
-        :class:`~repro.gatelevel.gl_sim.StimulusMismatch` on a strict
-        stop.
-        """
-        stores, lasts, reads, _lanes = sim._gl_c_args
+    def _state(self, sim):
+        stores, lasts, _memos = sim._gl_c_tables
         arena = sim._toggle_arena
-        buf = sim._plane_count_buf
-        buf[0] = sim._plane_count
-        state = _GlState(
+        return _GlState(
             V=sim._values.ctypes.data,
             PREV=sim._prev.ctypes.data,
             PLANES=arena.ctypes.data,
             planes_cap=arena.shape[0],
-            planes_used=buf.ctypes.data,
+            planes_used=sim._plane_count_buf.ctypes.data,
             stores=ctypes.addressof(stores),
             lasts=ctypes.addressof(lasts),
             reads=sim.sram_reads.ctypes.data,
@@ -907,44 +358,52 @@ class CKernel:
             dff_tmp=sim._gl_dff_tmp.ctypes.data,
             lanes=sim.lanes,
             active_mask=int(sim.active_mask))
+
+    def eval(self, sim):
+        """Settle combinational logic once under the ambient forces."""
+        forces = _GlForces()
+        if sim._force_nets is not None:
+            forces = _GlForces(n=len(sim._force_nets),
+                               nets=sim._force_nets.ctypes.data,
+                               masks=sim._force_masks.ctypes.data,
+                               vals=sim._force_vals.ctypes.data)
+        self._lib.gl_eval(ctypes.byref(self._prog),
+                          ctypes.byref(self._state(sim)),
+                          ctypes.byref(forces))
+
+    def run_cycles(self, sim, n, stim, strict, mismatches):
+        """Run ``n`` cycles natively; returns committed-cycle count.
+
+        Hands the packed stimulus' flat arrays to ``gl_run_cycles``,
+        syncs the plane count and cycle counter back, and raises
+        :class:`~repro.gatelevel.gl_sim.StimulusMismatch` on a strict
+        stop.
+        """
+        sim._plane_count_buf[0] = sim._plane_count
+        state = self._state(sim)
         flat = stim.flat() if stim is not None else None
         stop = np.full(3, -1, dtype=np.int64)
         phase_ns = np.zeros(6, dtype=np.float64)
-        run = _GlRun(
-            n_cycles=n,
-            strict=1 if strict else 0,
-            mismatches=mismatches.ctypes.data,
-            stop=stop.ctypes.data,
-            profile=1,
-            phase_ns=phase_ns.ctypes.data)
+        run = _GlRun(n_cycles=n, strict=1 if strict else 0,
+                     mismatches=mismatches.ctypes.data,
+                     stop=stop.ctypes.data, profile=1,
+                     phase_ns=phase_ns.ctypes.data)
         if flat is not None:
-            run.poke_counts = _data_ptr(flat["poke_counts"])
-            run.poke_masks = _data_ptr(flat["poke_masks"])
-            run.poke_off = _data_ptr(flat["poke_off"])
-            run.poke_cnt = _data_ptr(flat["poke_cnt"])
-            run.poke_nets = _data_ptr(flat["poke_nets"])
-            run.poke_words = _data_ptr(flat["poke_words"])
-            run.check_counts = _data_ptr(flat["check_counts"])
-            run.check_masks = _data_ptr(flat["check_masks"])
-            run.check_off = _data_ptr(flat["check_off"])
-            run.check_cnt = _data_ptr(flat["check_cnt"])
-            run.check_nets = _data_ptr(flat["check_nets"])
-            run.check_words = _data_ptr(flat["check_words"])
+            for name in _STIM_FIELDS:
+                setattr(run, name, _data_ptr(flat[name]))
         if flat is not None and flat["force_counts"] is not None:
-            run.force_counts = _data_ptr(flat["force_counts"])
-            run.force_off = _data_ptr(flat["force_off"])
-            run.force_nets = _data_ptr(flat["force_nets"])
-            run.force_masks = _data_ptr(flat["force_masks"])
-            run.force_vals = _data_ptr(flat["force_vals"])
+            for name in _FORCE_FIELDS:
+                setattr(run, name, _data_ptr(flat[name]))
         elif sim._force_nets is not None:
             run.ambient_n = len(sim._force_nets)
             run.ambient_nets = _data_ptr(sim._force_nets)
             run.ambient_masks = _data_ptr(sim._force_masks)
             run.ambient_vals = _data_ptr(sim._force_vals)
-        # the flat dict and ambient arrays stay referenced by locals /
-        # the sim for the duration of the call, keeping pointers valid
-        done = int(self._run(ctypes.byref(state), ctypes.byref(run)))
-        sim._plane_count = int(buf[0])
+        # ``flat`` and the ambient arrays stay referenced for the call
+        done = int(self._lib.gl_run_cycles(ctypes.byref(self._prog),
+                                           ctypes.byref(state),
+                                           ctypes.byref(run)))
+        sim._plane_count = int(sim._plane_count_buf[0])
         sim.cycles += done
         _note_step_phases(phase_ns / 1e9, done)
         if done < n:
@@ -953,63 +412,7 @@ class CKernel:
         return done
 
 
-# -- compilation + artifact cache -------------------------------------------
-
-def _note_build(backend, seconds, from_cache):
-    registry = get_registry()
-    registry.counter("glcodegen.compile_seconds").inc(float(seconds))
-    registry.counter("glcodegen.builds").inc()
-    if from_cache:
-        registry.counter("glcodegen.cache_loads").inc()
-    get_tracer().instant("glcodegen.kernel", cat="flow", backend=backend,
-                         seconds=seconds, from_cache=from_cache)
-
-
-def compile_python_kernel(netlist, schedule, use_cache=True):
-    """Build (or load from cache) the generated-Python kernel.
-
-    Cache kind ``glpy`` stores the source plus a marshalled code object
-    tagged with ``sys.implementation.cache_tag``: a hit on the same
-    interpreter skips both codegen *and* the ~0.5 s ``compile()``; a
-    hit from a different interpreter recompiles from the cached source.
-    """
-    from ..parallel.cache import get_cache, cache_enabled
-
-    t0 = time.perf_counter()
-    tag = sys.implementation.cache_tag
-    key = None
-    entry = None
-    if use_cache and cache_enabled():
-        key = kernel_cache_key(netlist, "compiled", schedule)
-        entry = get_cache().get("glpy", key)
-    if entry is not None:
-        source = entry["source"]
-        code = None
-        if entry.get("tag") == tag and entry.get("marshal"):
-            try:
-                code = marshal.loads(entry["marshal"])
-            except Exception:
-                code = None     # foreign/corrupt marshal: use the source
-        if code is None:
-            code = compile(source, "<glcodegen kernel>", "exec")
-    else:
-        source = generate_python_source(netlist, schedule)
-        code = compile(source, "<glcodegen kernel>", "exec")
-        if key is not None:
-            get_cache().put("glpy", key, {
-                "version": GLCODEGEN_VERSION,
-                "source": source,
-                "tag": tag,
-                "marshal": marshal.dumps(code),
-            })
-    namespace = {}
-    exec(code, namespace)  # noqa: S102 - our own generated code
-    seconds = time.perf_counter() - t0
-    _note_build("compiled", seconds, entry is not None)
-    return PythonKernel(namespace["_gl_eval"], source,
-                        compile_seconds=seconds,
-                        from_cache=entry is not None)
-
+# -- one shared object per machine ------------------------------------------
 
 def _find_compiler():
     override = os.environ.get(_ENV_CC)
@@ -1025,133 +428,152 @@ def _find_compiler():
     return compiler
 
 
-def _cc_flags():
-    # -O1 buys ~10-20% on the whole-cycle run_cycles loop (the toggle
-    # ripple and commit loops vectorize a little) at a still-small
-    # compile cost on these straight-line translation units; override
-    # with $REPRO_GL_CFLAGS for tuning experiments (-O0 for fastest
-    # builds).  The flags are folded into the kernel cache key, so
-    # changing them rebuilds rather than reusing a stale .so.
-    env = os.environ.get(_ENV_CFLAGS)
-    if env:
-        return env.split()
-    return ["-O1"]
+def _compiler_id(compiler):
+    """The compiler's ``--version`` text (memoized per path)."""
+    if compiler not in _COMPILER_IDS:
+        try:
+            out = subprocess.run([compiler, "--version"], check=True,
+                                 capture_output=True, text=True,
+                                 timeout=60).stdout
+        except (OSError, subprocess.CalledProcessError,
+                subprocess.TimeoutExpired) as exc:
+            raise GLCodegenUnavailable(
+                f"C compiler {compiler!r} does not run: {exc}") from exc
+        _COMPILER_IDS[compiler] = out
+    return _COMPILER_IDS[compiler]
 
 
-def _build_so(netlist, schedule, workdir):
-    """Generate + compile the shared object; returns (source, so_path)."""
-    compiler = _find_compiler()
-    source = generate_c_source(netlist, schedule)
-    c_path = os.path.join(workdir, "gl_kernel.c")
-    so_path = os.path.join(workdir, "gl_kernel.so")
-    with open(c_path, "w") as f:
-        f.write(source)
-    cmd = [compiler, *_cc_flags(), "-fPIC", "-shared",
-           "-o", so_path, c_path]
+def _read_source():
+    with open(_SOURCE_PATH) as f:
+        return f.read()
+
+
+def kernel_cache_key(compiler=None):
+    """Artifact-cache key of this machine's ``libglsim`` object: the
+    kernel source hash, the compiler's path and ``--version``, the
+    fixed flags and :data:`GLCODEGEN_VERSION`."""
+    compiler = compiler or _find_compiler()
+    h = hashlib.blake2b(digest_size=20)
+    for part in (_read_source(), compiler, _compiler_id(compiler),
+                 " ".join(_CFLAGS), str(GLCODEGEN_VERSION)):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _compile_so(compiler, so_path):
+    cmd = [compiler, *_CFLAGS, "-fPIC", "-shared", "-o", so_path,
+           _SOURCE_PATH]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=600)
-    except (subprocess.CalledProcessError,
+    except (OSError, subprocess.CalledProcessError,
             subprocess.TimeoutExpired) as exc:
-        raise GLCodegenUnavailable(
-            f"C compilation failed: {exc}") from exc
-    return source, so_path
+        raise GLCodegenUnavailable(f"C compilation failed: {exc}") from exc
 
 
-def compile_c_kernel(netlist, schedule, use_cache=True):
-    """Build (or load from cache) the gcc+ctypes kernel.
+def _open_library(so_path):
+    lib = ctypes.CDLL(so_path)
+    lib.gl_eval, lib.gl_run_cycles     # resolve both entry points now
+    return lib
 
-    Cache kind ``glso`` stores the C source and the compiled shared
-    object.  A cached object that fails to ``CDLL`` (ABI/arch/toolchain
-    drift) is counted as ``cache.glso.stale``, warned about once, and
-    rebuilt live — never raised.  Raises :class:`GLCodegenUnavailable`
-    only when no working C compiler can be found for a live build.
+
+def _so_digest(data):
+    return hashlib.blake2b(data, digest_size=20).hexdigest()
+
+
+def load_library(use_cache=True):
+    """Load (building at most once per machine) the ``libglsim`` object.
+
+    Returns ``(lib, from_cache)``.  A cached object already loaded in
+    this process is reused; otherwise it is written to a private temp
+    directory only for ``dlopen`` and the directory is removed straight
+    after.  A cached object that fails to load is counted as
+    ``cache.glsim.stale``, warned about once and rebuilt.
     """
     from ..parallel.cache import get_cache, cache_enabled
 
-    t0 = time.perf_counter()
-    key = None
-    if use_cache and cache_enabled():
-        key = kernel_cache_key(netlist, "c", schedule)
+    compiler = _find_compiler()
+    key = (kernel_cache_key(compiler)
+           if use_cache and cache_enabled() else None)
+    entry = get_cache().get("glsim", key) if key is not None else None
+    digest = _so_digest(entry["so"]) if entry is not None else None
+    if digest in _LOADED:
+        return _LOADED[digest], True
     workdir = tempfile.mkdtemp(prefix="repro_glsim_")
-    so_path = os.path.join(workdir, "gl_kernel.so")
-
-    entry = get_cache().get("glso", key) if key is not None else None
-    from_cache = False
-    if entry is not None:
-        with open(so_path, "wb") as f:
-            f.write(entry["so"])
-        try:
-            lib = ctypes.CDLL(so_path)
-            # resolve both entry points now, not lazily
-            lib.gl_eval
-            lib.gl_run_cycles
-            source = entry["source"]
-            from_cache = True
-        except (OSError, AttributeError) as exc:
-            # Stale artifact (different toolchain/arch/ABI than the
-            # one that built it): fall back to regeneration, visibly.
-            get_registry().counter("cache.glso.stale").inc()
-            _warn_once(
-                "glso-stale",
-                f"cached compiled replay kernel failed to load ({exc}); "
-                f"regenerating it")
-            entry = None
-    if not from_cache:
-        source, so_path = _build_so(netlist, schedule, workdir)
-        lib = ctypes.CDLL(so_path)
+    try:
+        if entry is not None:
+            so_path = os.path.join(workdir, "libglsim.so")
+            with open(so_path, "wb") as f:
+                f.write(entry["so"])
+            try:
+                lib = _open_library(so_path)
+                _LOADED[digest] = lib
+                return lib, True
+            except (OSError, AttributeError) as exc:
+                get_registry().counter("cache.glsim.stale").inc()
+                _warn_once(
+                    "glsim-stale",
+                    f"cached replay kernel failed to load ({exc}); "
+                    f"rebuilding it")
+        # a fresh name: dlopen hands back a library already loaded
+        # from the same path
+        so_path = os.path.join(workdir, "libglsim-built.so")
+        _compile_so(compiler, so_path)
+        lib = _open_library(so_path)
+        with open(so_path, "rb") as f:
+            data = f.read()
+        _LOADED[_so_digest(data)] = lib
         if key is not None:
-            with open(so_path, "rb") as f:
-                so_bytes = f.read()
-            get_cache().put("glso", key, {
-                "version": GLCODEGEN_VERSION,
-                "source": source,
-                "so": so_bytes,
-            })
+            get_cache().put("glsim", key, {
+                "version": GLCODEGEN_VERSION, "so": data})
+        return lib, False
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def compile_c_kernel(netlist, schedule, use_cache=True):
+    """The native kernel for one netlist: its program plus the machine's
+    shared object.  Raises :class:`GLCodegenUnavailable` when there is
+    no working compiler or the netlist cannot be expressed."""
+    t0 = time.perf_counter()
+    program = build_program(netlist, schedule)
+    lib, from_cache = load_library(use_cache=use_cache)
     seconds = time.perf_counter() - t0
-    _note_build("c", seconds, from_cache)
-    return CKernel(lib, source, workdir,
-                   compile_seconds=seconds, from_cache=from_cache)
+    registry = get_registry()
+    registry.counter("glcodegen.compile_seconds").inc(float(seconds))
+    registry.counter("glcodegen.builds").inc()
+    if from_cache:
+        registry.counter("glcodegen.cache_loads").inc()
+    get_tracer().instant("glcodegen.kernel", cat="flow", backend="c",
+                         seconds=seconds, from_cache=from_cache)
+    return CKernel(lib, program, compile_seconds=seconds,
+                   from_cache=from_cache)
 
 
 def build_kernel(netlist, schedule, backend, use_cache=True):
-    """Build the evaluation kernel for ``backend``; None for ``interp``.
+    """The evaluation kernel for ``backend``; None means the interpreter.
 
-    Implements the fallback ladder ``c -> compiled-python -> interp``:
-    an explicit ``c`` request on a host without a compiler degrades to
-    the compiled-Python kernel (one warning + a counter), and ``auto``
-    takes the best available rung silently.  Only ``interp`` — or a
-    codegen failure, which the interpreter is immune to by construction
-    — returns None.
+    The ladder is ``c -> interp``: a ``c`` request that cannot be met
+    (no compiler, or a netlist the kernel cannot express) falls back to
+    the batched numpy interpreter with one warning and a counter;
+    ``auto`` takes the same fallback silently.
     """
     backend = resolve_backend(backend)
     if backend == "interp":
         return None
     with get_tracer().span("glcodegen.build", cat="flow",
                            backend=backend) as span:
-        if backend in ("c", "auto"):
-            try:
-                kernel = compile_c_kernel(netlist, schedule,
-                                          use_cache=use_cache)
-                span.set(backend_used="c",
-                         from_cache=kernel.from_cache)
-                return kernel
-            except GLCodegenUnavailable as exc:
-                get_registry().counter("glcodegen.c_fallbacks").inc()
-                if backend == "c":
-                    _warn_once(
-                        "c-fallback",
-                        f"C replay backend unavailable ({exc}); using "
-                        f"the compiled-Python backend instead")
         try:
-            kernel = compile_python_kernel(netlist, schedule,
-                                           use_cache=use_cache)
-        except GLCodegenError as exc:
-            get_registry().counter("glcodegen.interp_fallbacks").inc()
-            _warn_once(
-                "interp-fallback",
-                f"gate-level codegen failed ({exc}); using the "
-                f"interpreted evaluator")
+            kernel = compile_c_kernel(netlist, schedule,
+                                      use_cache=use_cache)
+        except GLCodegenUnavailable as exc:
+            get_registry().counter("glcodegen.c_fallbacks").inc()
+            if backend == "c":
+                _warn_once(
+                    "c-fallback",
+                    f"C replay backend unavailable ({exc}); using the "
+                    f"interpreted evaluator instead")
             span.set(backend_used="interp")
             return None
-        span.set(backend_used="compiled", from_cache=kernel.from_cache)
+        span.set(backend_used="c", from_cache=kernel.from_cache)
         return kernel

@@ -108,7 +108,7 @@ def replay_parallel(flow, snapshots, *, workers, port_names,
                     grouping=None, freq_hz=None, strict=True,
                     start_method=None, timeout=None, max_retries=2,
                     fault_plan=None, on_result=None, health=None,
-                    batch_lanes=1):
+                    batch_lanes):
     """Replay ``snapshots`` on ``workers`` processes; order-preserving.
 
     Thin compatibility wrapper over
@@ -119,11 +119,10 @@ def replay_parallel(flow, snapshots, *, workers, port_names,
     (strict-mode ``ReplayError``, ``SnapshotError``) propagate
     unchanged; transient worker failures are retried by the supervisor.
 
-    ``batch_lanes`` > 1 makes each worker replay bit-parallel lane
-    batches instead of single snapshots (same results, one netlist
-    evaluation per batch per cycle); ``health``, if given, is a list
-    the resulting :class:`~repro.robust.ReplayHealthReport` is
-    appended to.
+    ``batch_lanes`` (required) is the most snapshots a worker replays
+    in the bit lanes of one batch (same results for any value);
+    ``health``, if given, is a list the resulting
+    :class:`~repro.robust.ReplayHealthReport` is appended to.
     """
     from ..robust.supervisor import replay_supervised
     results, report = replay_supervised(

@@ -158,12 +158,11 @@ def poison_cache_entry(cache, kind, key, payload):
     return f"poisoned cache entry {kind}/{key[:12]}…"
 
 
-def poisoned_glso_payload():
-    """A glso entry that frames and versions correctly but whose
+def poisoned_glsim_payload():
+    """A glsim entry that frames and versions correctly but whose
     shared object cannot possibly load."""
     from ..gatelevel.glcodegen import GLCODEGEN_VERSION
     return {"version": GLCODEGEN_VERSION,
-            "source": "/* poisoned by the fault campaign */",
             "so": b"\x7fELFnot-actually-a-shared-object" * 8}
 
 
@@ -232,12 +231,13 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
     verdicts = {}
 
     def supervised(snaps, plan=None):
+        # one snapshot per dispatch: the faults target snapshots
         return replay_supervised(
             engine.flow, snaps, workers=workers,
             port_names=engine._port_names, grouping=engine.grouping,
             freq_hz=engine.freq_hz, strict=True, timeout=timeout,
             backoff_base=backoff_base, fault_plan=plan,
-            serial_engine=engine)
+            serial_engine=engine, batch_lanes=1)
 
     def expect_recovery(name, plan):
         try:
@@ -331,17 +331,15 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
     with a typed error.  Never a hang (every wait is bounded), never a
     wedged queue, never a silently wrong number.  The kill-storm leg
     additionally asserts the backend demotion ladder walked all the
-    way down (``c -> compiled -> interp``) and was reported in job
+    way down (``c -> interp``) and was reported in job
     status.  ``include_restart=False`` skips the subprocess
     daemon-kill leg (for hosts where spawning a second interpreter is
     unwelcome).
     """
     from ..core.flow import run_strober, clear_caches
     from ..parallel.cache import get_cache
-    from ..service import (
-        ServiceHarness, ServiceClient, compiled_kernel_key,
-        result_digest,
-    )
+    from ..service import ServiceHarness, ServiceClient, result_digest
+    from ..gatelevel.glcodegen import kernel_cache_key
 
     spec = {"design": design, "workload": workload,
             "sample_size": sample_size, "replay_length": replay_length,
@@ -381,12 +379,11 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
                 job = fresh.wait(job_id, timeout_s=timeout)
         return "recovered" if good(job) else "missed"
 
-    def poisoned_glso():
-        # A well-framed glso entry whose .so cannot load: the codegen
+    def poisoned_glsim():
+        # A well-framed glsim entry whose .so cannot load: the kernel
         # layer must catch the load failure and rebuild, not crash.
-        key = compiled_kernel_key(design)
-        poison_cache_entry(get_cache(), "glso", key,
-                           poisoned_glso_payload())
+        poison_cache_entry(get_cache(), "glsim", kernel_cache_key(),
+                           poisoned_glsim_payload())
         with harness("poisoned") as h:
             with h.client(timeout=timeout + 60) as client:
                 job_id = client.submit(gl_backend="c", **spec)
@@ -394,15 +391,15 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         return "recovered" if good(job) else "missed"
 
     def kill_storm():
-        # Two crash-storm jobs walk the breaker down the full ladder;
-        # the third runs clean on the floor.  All three must still be
+        # A crash-storm job walks the breaker down the ladder; the
+        # next runs clean on the floor.  Both must still be
         # bit-identical — backends and the serial fallback agree by
         # construction.
         storm = [{"kind": "kill", "times": 5}]
         with harness("storm", breaker_threshold=2) as h:
             with h.client(timeout=timeout + 60) as client:
                 jobs = []
-                for faults in (storm, storm, None):
+                for faults in (storm, None):
                     job_id = client.submit(
                         gl_backend="c", workers=2,
                         faults=copy.deepcopy(faults) or [], **spec)
@@ -410,9 +407,8 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
                 breakers = client.status()["breakers"]
         floor = breakers.get(design, {}).get("floor")
         demoted = [d["to"] for job in jobs for d in job["demotions"]]
-        ladder_ok = (floor == "interp" and "compiled" in demoted
-                     and "interp" in demoted
-                     and jobs[2]["backends"] == ["interp"]
+        ladder_ok = (floor == "interp" and demoted == ["interp"]
+                     and jobs[1]["backends"] == ["interp"]
                      and jobs[0]["crashes"] >= 2)
         return ("recovered" if ladder_ok and all(map(good, jobs))
                 else "missed")
@@ -499,7 +495,7 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
 
     try:
         attempt("client-disconnect", client_disconnect)
-        attempt("poisoned-glso", poisoned_glso)
+        attempt("poisoned-glsim", poisoned_glsim)
         attempt("worker-kill-storm", kill_storm)
         attempt("enospc", enospc)
         if include_restart:

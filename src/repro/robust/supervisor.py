@@ -217,10 +217,9 @@ def _worker_main(payload, task_conn, result_conn):
             return
         # A task is one *super-task*: a flat list of snapshots plus the
         # ``splits`` that carve it back into lane-batches.  With thread
-        # overlap off every task holds exactly one batch (a single-
-        # snapshot list when batch_lanes == 1; replay degenerates to
-        # the scalar path for those); with overlap on, the engine runs
-        # the batches concurrently on its thread pool.
+        # overlap off every task holds exactly one batch; with overlap
+        # on, the engine runs the batches concurrently on its thread
+        # pool.
         tidx, snaps, strict, fault, splits = task
         try:
             if fault is not None:
@@ -387,12 +386,26 @@ class _Worker:
         self.deadline = None
 
     def shutdown(self):
-        """Polite stop for an idle, healthy worker."""
+        """Polite stop for an idle, healthy worker.
+
+        Result bytes still arriving (an abandoned batch's) are read and
+        dropped while it winds down: a worker blocked writing them into
+        a full pipe would otherwise never reach the sentinel.
+        """
         try:
             self._send(None)
         except Exception:
             pass
-        self.proc.join(timeout=2.0)
+        fd = None if self._res_r.closed else self._res_r.fileno()
+        deadline = time.monotonic() + 2.0
+        while self.proc.is_alive() and time.monotonic() < deadline:
+            self.pump()
+            try:
+                while fd is not None and os.read(fd, 1 << 16):
+                    pass
+            except OSError:        # nothing more to read yet
+                pass
+            self.proc.join(timeout=0.01)
         if self.proc.is_alive():
             self.kill()
         else:
@@ -419,10 +432,11 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
                              start_method=None, timeout=None,
                              max_retries=2, backoff_base=0.25,
                              fault_plan=None, serial_engine=None,
-                             batch_lanes=1, gl_backend=None,
+                             batch_lanes, gl_backend=None,
                              gl_overlap=None,
                              serial_gl_backend=None, init_grace=None,
-                             order=None, cancel=None, report=None):
+                             order=None, cancel=None, ramp=None,
+                             report=None):
     """Stream supervised replays: yields ``(index, result)`` pairs.
 
     The streaming core of :func:`replay_supervised`.  Batches are
@@ -439,6 +453,9 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
     journal re-sampling replays only the missing snapshots).  Default:
     natural order over all snapshots, batched exactly as the
     historical path.
+
+    ``ramp`` — optional first-batch width, doubling per batch up to
+    ``batch_lanes`` (see :func:`repro.core.replay.plan_replay_batches`).
 
     ``cancel`` — optional :class:`repro.parallel.CancelToken`.  Once
     set, no further batches are dispatched; results that already
@@ -501,14 +518,9 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
     except Exception as exc:
         raise ParallelReplayError(
             f"replay payload is not picklable: {exc}") from exc
-    if batch_lanes > 1:
-        from ..core.replay import plan_replay_batches
-        batches = plan_replay_batches(snapshots, batch_lanes,
-                                      order=positions)
-    elif positions is not None:
-        batches = [[i] for i in positions]
-    else:
-        batches = [[i] for i in range(n)]
+    from ..core.replay import plan_replay_batches
+    batches = plan_replay_batches(snapshots, batch_lanes, order=positions,
+                                  ramp=ramp)
     # Super-tasks: with thread overlap each dispatch unit carries up to
     # ``gl_overlap`` consecutive lane-batches for the worker's thread
     # pool; with overlap off every task is exactly one batch and the
@@ -784,7 +796,7 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
                       grouping=None, freq_hz=None, strict=True,
                       start_method=None, timeout=None, max_retries=2,
                       backoff_base=0.25, fault_plan=None, on_result=None,
-                      serial_engine=None, batch_lanes=1, gl_backend=None,
+                      serial_engine=None, batch_lanes, gl_backend=None,
                       gl_overlap=None, serial_gl_backend=None,
                       init_grace=None):
     """Replay ``snapshots`` under supervision; order-preserving.
@@ -800,12 +812,13 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
     consumers (the adaptive sampling controller) use the generator
     directly.
 
-    ``batch_lanes`` > 1 packs snapshots into bit-lane batches (see
+    ``batch_lanes`` (required; the caller owns the default) packs
+    snapshots into bit-lane batches of at most that many (see
     :func:`repro.core.replay.make_replay_batches`): the unit of
-    dispatch, deadline, retry, and serial fallback becomes the batch,
-    with the per-snapshot ``timeout`` scaled by each batch's size.
-    With the default of 1 every batch is a single snapshot and the
-    semantics are exactly the historical per-snapshot ones.
+    dispatch, deadline, retry, and serial fallback is the batch, with
+    the per-snapshot ``timeout`` scaled by each batch's size.  At 1
+    every batch is a single snapshot and the semantics are exactly the
+    per-snapshot ones.
 
     ``fault_plan`` (a :class:`repro.robust.FaultPlan`) deliberately
     sabotages chosen dispatches; it exists for the fault-injection
@@ -817,7 +830,7 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
     replays; built lazily from ``flow`` when not supplied.
     ``serial_gl_backend`` overrides the gate-level backend of that
     lazily-built engine — the job service passes ``"interp"`` so the
-    in-process fallback never executes a possibly-poisoned compiled
+    in-process fallback never executes a possibly-poisoned native
     kernel inside the supervising process (backends are bit-identical,
     so the results are unchanged).  ``init_grace`` (seconds, default
     :func:`default_init_grace`) is the extra deadline headroom granted

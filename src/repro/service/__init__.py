@@ -15,8 +15,8 @@ Layers (each its own module):
 * :mod:`~repro.service.daemon` — admission control, per-job deadlines
   and full-jitter retries, graceful drain, ``/status``.
 * :mod:`~repro.service.breaker` — per-design backend circuit breakers
-  (the ``c -> compiled -> interp`` demotion ladder) with compiled-
-  kernel quarantine.
+  (the ``c -> interp`` demotion ladder) with native-kernel
+  quarantine.
 * :mod:`~repro.service.state` — the crash-safe jobs journal (same
   CRC-framed record format as the run journal) and resume loader.
 * :mod:`~repro.service.client` / :mod:`~repro.service.harness` — the
@@ -32,8 +32,7 @@ from .protocol import (
     ERR_WORKLOAD, ERR_INTERNAL,
 )
 from .breaker import (
-    LADDER, BackendBreaker, BreakerBoard, compiled_kernel_key,
-    quarantine_compiled_kernel,
+    LADDER, BackendBreaker, BreakerBoard, quarantine_compiled_kernel,
 )
 from .state import (
     ServiceJournal, ServiceState, load_service_state, result_digest,
@@ -48,7 +47,7 @@ __all__ = [
     "ERR_UNKNOWN_JOB", "ERR_DEADLINE", "ERR_CANCELLED",
     "ERR_REPLAY_MISMATCH", "ERR_SNAPSHOT", "ERR_WORKLOAD",
     "ERR_INTERNAL",
-    "LADDER", "BackendBreaker", "BreakerBoard", "compiled_kernel_key",
+    "LADDER", "BackendBreaker", "BreakerBoard",
     "quarantine_compiled_kernel",
     "ServiceJournal", "ServiceState", "load_service_state",
     "result_digest",

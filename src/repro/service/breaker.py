@@ -1,16 +1,16 @@
 """Per-design backend circuit breakers for the job service.
 
 The gate-level replay backends are bit-identical by construction
-(``interp`` / ``compiled`` / ``c``), which makes backend choice a pure
+(``interp`` / ``c``), which makes backend choice a pure
 reliability/performance trade — exactly the shape a circuit breaker
-wants.  When workers running a design under one backend keep crashing,
-the breaker demotes that design one rung down the ladder::
+wants.  When workers running a design under the native kernel keep
+crashing, the breaker demotes that design one rung down the ladder::
 
-    c  ->  compiled  ->  interp
+    c  ->  interp
 
 and every later attempt for the same design is capped at the demoted
-rung.  Demoting *from* ``c`` additionally quarantines the design's
-cached compiled kernel (the ``glso`` shared object): a poisoned or
+rung.  Demoting *from* ``c`` additionally quarantines the cached
+native kernel (the machine's ``glsim`` shared object): a poisoned or
 ABI-drifted ``.so`` that segfaults every worker that loads it must be
 pulled out of circulation, not reloaded by the next attempt — and the
 quarantined file is kept (``<cache>/quarantine/``) for post-mortem
@@ -29,7 +29,7 @@ import threading
 import time
 
 # Most-aggressive first; index = rung, higher rung = more conservative.
-LADDER = ("c", "compiled", "interp")
+LADDER = ("c", "interp")
 
 DEFAULT_THRESHOLD = 2       # crashes on one rung before demotion
 DEFAULT_COOLDOWN_S = None   # None = demotions are sticky for the
@@ -158,31 +158,17 @@ class BreakerBoard:
                     for design, b in self._breakers.items()}
 
 
-def compiled_kernel_key(design):
-    """Artifact-cache key of a design's compiled replay kernel (glso).
-
-    Reconstructed from the design the same way the codegen layer
-    derives it, so the breaker can quarantine the exact entry workers
-    were loading.  Requires the ASIC flow, which a design that has
-    already run a job has cached (in memory and on disk).
-    """
-    from ..core.flow import get_circuits, _soc_asic_flow
-    from ..core.replay import load_levelized_schedule
-    from ..gatelevel.glcodegen import kernel_cache_key
-    _, target = get_circuits(design)
-    flow = _soc_asic_flow(target)
-    schedule = load_levelized_schedule(flow)
-    return kernel_cache_key(flow.netlist, "c", schedule)
-
-
 def quarantine_compiled_kernel(design):
-    """Move a design's cached glso entry to the cache's quarantine
-    directory; returns the quarantined path, or None when there was
-    nothing to quarantine (or the design's flow could not be loaded —
-    quarantine is best-effort, demotion already protects the jobs)."""
+    """Move the cached glsim entry ``design``'s workers load to the
+    cache's quarantine directory; returns the quarantined path, or None
+    when there was nothing to quarantine (or no compiler to derive the
+    key — quarantine is best-effort, demotion already protects the
+    jobs).  The kernel takes the netlist as data, so every design on
+    one machine shares the entry."""
+    from ..gatelevel.glcodegen import kernel_cache_key
     from ..parallel.cache import get_cache
     try:
-        key = compiled_kernel_key(design)
+        key = kernel_cache_key()
     except Exception:
         return None
-    return get_cache().quarantine("glso", key)
+    return get_cache().quarantine("glsim", key)

@@ -23,8 +23,8 @@ Robustness model, layer by layer:
   full-jitter exponential backoff; deterministic failures (replay
   mismatch, snapshot corruption, workload exit) never retry.
 * **Circuit breakers** — per-design crash accounting demotes the
-  gate-level backend down the ``c -> compiled -> interp`` ladder and
-  quarantines the suspect compiled kernel (see
+  gate-level backend down the ``c -> interp`` ladder and
+  quarantines the suspect native kernel (see
   :mod:`repro.service.breaker`).  The supervisor's in-process serial
   fallback is always pinned to ``interp`` so a poisoned shared object
   is never loaded into the daemon's own address space by the fallback
@@ -413,7 +413,7 @@ class StroberService:
         pool — the queue keeps moving no matter how wedged the
         abandoned work is.  The in-process serial fallback is pinned
         to ``interp``: the daemon never executes a possibly-poisoned
-        compiled kernel in its own process on the recovery path.
+        native kernel in its own process on the recovery path.
 
         Attempts hold their design's lock for the duration of the run:
         the cached circuit pair and replay engine are per-design and

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from ..gatelevel.gl_sim import MAX_LANES
+
 # -- typed error vocabulary --------------------------------------------------
 
 ERR_INVALID_REQUEST = "invalid-request"   # malformed JSON / bad spec
@@ -98,7 +100,7 @@ class JobSpec:
     confidence: float = 0.99
     strict_replay: bool = True
     workers: int = 1
-    batch_lanes: int = 1
+    batch_lanes: int = MAX_LANES
     gl_backend: str = None
     workload_kwargs: dict = field(default_factory=dict)
     deadline_s: float = None      # per-job wall clock; None = no deadline
@@ -167,8 +169,8 @@ class JobSpec:
                 ("max_cycles", lambda v: v >= 1, "a positive int"),
                 ("seed", lambda v: v >= 0, "a non-negative int"),
                 ("workers", lambda v: 1 <= v <= 64, "an int in 1..64"),
-                ("batch_lanes", lambda v: 1 <= v <= 64,
-                 "an int in 1..64"),
+                ("batch_lanes", lambda v: 1 <= v <= MAX_LANES,
+                 f"an int in 1..{MAX_LANES}"),
                 ("retries", lambda v: 0 <= v <= 10, "an int in 0..10"),
                 ("min_sample", lambda v: v >= 2, "an int >= 2"),
                 ("max_sample", lambda v: v >= 2, "an int >= 2")):

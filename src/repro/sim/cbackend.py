@@ -325,20 +325,26 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
 
     Returns ``(cycle_fn, layout)`` matching the Python backend interface,
     except state lives inside the shared object (proxied by
-    :class:`_CStateProxy` lists).
+    :class:`_CStateProxy` lists).  The build directory is removed once
+    the library is loaded, unless the caller passed ``keep_dir``.
     """
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_csim_")
-    so_path = os.path.join(workdir, "circuit.so")
-    layout = _build_so(circuit, so_path, use_cache)
     try:
-        lib = _load_so(so_path)
-    except (OSError, AttributeError):
-        # A cached .so from an incompatible toolchain/arch, or one that
-        # lacks an entry point: rebuild it under a new name (the loader
-        # would hand back the library already loaded from so_path).
-        so_path = os.path.join(workdir, "circuit-rebuilt.so")
-        layout = _build_so(circuit, so_path, use_cache, reuse=False)
-        lib = _load_so(so_path)
+        so_path = os.path.join(workdir, "circuit.so")
+        layout = _build_so(circuit, so_path, use_cache)
+        try:
+            lib = _load_so(so_path)
+        except (OSError, AttributeError):
+            # A cached .so from an incompatible toolchain/arch, or one
+            # that lacks an entry point: rebuild it under a new name
+            # (the loader would hand back the library already loaded
+            # from so_path).
+            so_path = os.path.join(workdir, "circuit-rebuilt.so")
+            layout = _build_so(circuit, so_path, use_cache, reuse=False)
+            lib = _load_so(so_path)
+    finally:
+        if keep_dir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
     lib.cycle.argtypes = [ctypes.POINTER(ctypes.c_uint64),
                           ctypes.POINTER(ctypes.c_uint64), ctypes.c_int]
     lib.get_regs.argtypes = [ctypes.POINTER(ctypes.c_uint64)]
@@ -371,7 +377,7 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     cycle_fn.lib = lib
     cycle_fn.reg_buf = reg_buf
     cycle_fn.n_regs = len(circuit.regs)
-    cycle_fn.workdir = workdir
+    cycle_fn.workdir = keep_dir
     return cycle_fn, layout
 
 

@@ -216,6 +216,15 @@ class TestPlanReplayBatchesWithOrder:
         batches = plan_replay_batches(snaps, 4, order=[0, 2, 1])
         assert batches == [[0], [2], [1]]
 
+    def test_ramp_doubles_up_to_the_lane_limit(self):
+        snaps = [self._Snap(4)] * 20
+        widths = [len(b) for b in plan_replay_batches(snaps, 8, ramp=2)]
+        assert widths == [2, 4, 8, 6]
+        order = list(range(19, -1, -1))
+        batches = plan_replay_batches(snaps, 64, order=order, ramp=1)
+        assert [len(b) for b in batches] == [1, 2, 4, 8, 5]
+        assert [i for b in batches for i in b] == order
+
 
 class TestReplayStream:
     @pytest.fixture(scope="class")
@@ -245,7 +254,8 @@ class TestReplayStream:
         snaps = list(run.snapshots)
         cancel = CancelToken()
         seen = []
-        for idx, result in engine.replay_stream(snaps, cancel=cancel):
+        for idx, result in engine.replay_stream(snaps, cancel=cancel,
+                                                ramp=1):
             seen.append(idx)
             cancel.cancel("test")
         assert seen == [0]     # already-dispatched batch still yielded
@@ -256,7 +266,7 @@ class TestReplayStream:
         cancel = CancelToken()
         seen = []
         for idx, result in engine.replay_stream(snaps, workers=2,
-                                                cancel=cancel):
+                                                cancel=cancel, ramp=1):
             seen.append(idx)
             if len(seen) == 2:
                 cancel.cancel("enough")
@@ -303,6 +313,16 @@ class TestAdaptiveEndToEnd:
         full = fixed_run.energy.power.mean
         assert abs(run.energy.power.mean - full) / full <= TARGET
 
+    def test_sample_does_not_depend_on_lane_count(self,
+                                                  adaptive_traced):
+        run, _doc = adaptive_traced
+        narrow = run_strober(**ADAPTIVE_KW, target_rel_error=TARGET,
+                             batch_lanes=1)
+        assert narrow.sampling == run.sampling
+        assert narrow.energy.power.mean == run.energy.power.mean
+        assert (narrow.energy.power.half_width
+                == run.energy.power.half_width)
+
     def test_controller_events_land_in_the_trace(self, adaptive_traced):
         run, doc = adaptive_traced
         from repro.obs.report import controller_events, render_report
@@ -328,8 +348,8 @@ class TestAdaptiveEndToEnd:
         assert controller_events(load_trace(path)) == []
 
     def test_adaptive_parallel_cancels_in_flight_batches(self):
-        run = run_strober(**ADAPTIVE_KW, target_rel_error=TARGET,
-                          workers=2, batch_lanes=2)
+        run = run_strober(**dict(ADAPTIVE_KW, batch_lanes=2),
+                          target_rel_error=TARGET, workers=2)
         sampling = run.sampling
         assert sampling["stop_reason"] == STOP_TARGET_MET
         assert sampling["rel_error"] <= TARGET

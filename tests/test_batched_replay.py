@@ -31,9 +31,9 @@ def towers_run():
 
 @pytest.fixture(scope="module")
 def serial_keys(towers_run):
-    return [_power_key(r)
-            for r in towers_run.engine.replay_all(towers_run.snapshots,
-                                                  workers=1)]
+    # the scalar simulator, one snapshot at a time: the golden path
+    return [_power_key(towers_run.engine.replay(s))
+            for s in towers_run.snapshots]
 
 
 def _power_key(result):
@@ -99,8 +99,7 @@ class TestGoldenEquivalence:
     def test_boom_equivalence(self):
         run = run_strober("boom-1w_mini", "towers", sample_size=4,
                           replay_length=32, backend="auto", seed=3)
-        serial = [_power_key(r)
-                  for r in run.engine.replay_all(run.snapshots, workers=1)]
+        serial = [_power_key(run.engine.replay(s)) for s in run.snapshots]
         batched = run.engine.replay_all(run.snapshots, workers=1,
                                         batch_lanes=4)
         assert [_power_key(r) for r in batched] == serial
@@ -136,6 +135,32 @@ class TestMismatchBlame:
             assert _power_key(results[lane]) == serial_keys[lane]
 
 
+class TestSimulatorLifetime:
+    def test_batches_of_new_sizes_leave_no_simulators(self, towers_run,
+                                                      monkeypatch):
+        # each batch builds its simulator and drops it afterwards:
+        # batch sizes must not accumulate one cached simulator each
+        import gc
+        import weakref
+        import repro.core.replay as replay_mod
+        built = []
+        real = replay_mod.BatchedGateLevelSimulator
+
+        def tracked(*args, **kwargs):
+            sim = real(*args, **kwargs)
+            built.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(replay_mod, "BatchedGateLevelSimulator",
+                            tracked)
+        snaps = list(towers_run.snapshots)
+        for size in (2, 3, 5):
+            towers_run.engine.replay_batch(snaps[:size])
+        gc.collect()
+        assert len(built) == 3
+        assert sum(ref() is not None for ref in built) <= 1
+
+
 class TestWorkerComposition:
     def test_batched_pool_is_bit_identical(self, towers_run, serial_keys):
         engine = towers_run.engine
@@ -155,7 +180,8 @@ class TestWorkerComposition:
 class TestRunStroberIntegration:
     def test_batch_lanes_preserves_energy(self):
         scalar = run_strober("rocket_mini", "towers", sample_size=4,
-                             replay_length=32, backend="auto", seed=3)
+                             replay_length=32, backend="auto", seed=3,
+                             batch_lanes=1)
         batched = run_strober("rocket_mini", "towers", sample_size=4,
                               replay_length=32, backend="auto", seed=3,
                               batch_lanes=None)

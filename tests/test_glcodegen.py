@@ -1,10 +1,12 @@
-"""Compiled batched gate-level replay backends: golden equivalence of
-the exec-generated Python and gcc+ctypes kernels against the
-interpreted evaluator, the artifact cache (kinds glpy/glso), the
-fallback ladder, and backend selection plumbing
+"""The native gate-level replay kernel: golden equivalence of the fixed
+``libglsim`` kernel against the interpreted evaluator, the one-per-
+machine artifact cache (kind glsim), the ``c -> interp`` fallback
+ladder, temp-dir hygiene, and backend selection plumbing
 (repro.gatelevel.glcodegen, run_strober(gl_backend=...))."""
 
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from repro.core.flow import clear_caches, get_replay_engine
 from repro.gatelevel import (
     BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
     PackedStimulus, StimulusMismatch, build_kernel, build_schedule,
-    kernel_cache_key, netlist_fingerprint, pack_lane_words,
-    resolve_backend, resolve_overlap, synthesize, GLCodegenError,
+    kernel_cache_key, pack_lane_words, resolve_backend, resolve_overlap,
+    synthesize, GLCodegenError,
 )
 from repro.gatelevel import glcodegen
 from repro.hdl import Module, elaborate
@@ -32,13 +34,19 @@ except glcodegen.GLCodegenUnavailable:
     HAVE_CC = False
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 
-COMPILED_BACKENDS = ["compiled"] + (["c"] if HAVE_CC else [])
+# "auto" is the default request: the C kernel here, or the interpreter
+# on a host without a compiler
+KERNEL_BACKENDS = ["auto"] + (["c"] if HAVE_CC else [])
+EFFECTIVE_BACKEND = "c" if HAVE_CC else "interp"
 
 
 @pytest.fixture(scope="module")
 def towers_run():
+    # the interpreter, one snapshot per batch: the reference every
+    # kernel result is held to
     return run_strober("rocket_mini", "towers", sample_size=8,
-                       replay_length=32, backend="auto", seed=3)
+                       replay_length=32, backend="auto", seed=3,
+                       batch_lanes=1, gl_backend="interp")
 
 
 def _power_key(result):
@@ -96,21 +104,24 @@ def _assert_identical(ref, sim, backend):
 class TestResolveBackend:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_GL_BACKEND", "c")
-        assert resolve_backend("compiled") == "compiled"
+        assert resolve_backend("interp") == "interp"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_BACKEND", "compiled")
-        assert resolve_backend(None) == "compiled"
-        monkeypatch.delenv("REPRO_GL_BACKEND")
+        monkeypatch.setenv("REPRO_GL_BACKEND", "interp")
         assert resolve_backend(None) == "interp"
+        monkeypatch.delenv("REPRO_GL_BACKEND")
+        assert resolve_backend(None) == "auto"
 
     def test_unknown_rejected(self):
         with pytest.raises(GLCodegenError):
             resolve_backend("verilator")
+        # the generated-Python backend is gone
+        with pytest.raises(GLCodegenError):
+            resolve_backend("compiled")
 
 
 class TestSmallDesignEquivalence:
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     @pytest.mark.parametrize("lanes", [5, MAX_LANES])
     def test_bit_identical_with_interp(self, backend, lanes):
         netlist = _small_netlist()
@@ -120,7 +131,7 @@ class TestSmallDesignEquivalence:
         sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
                                         schedule=schedule,
                                         backend=backend)
-        assert sim.backend == backend
+        assert sim.backend == EFFECTIVE_BACKEND
         _drive([ref, sim])
         _assert_identical(ref, sim, backend)
         for lane in range(lanes):
@@ -130,7 +141,7 @@ class TestSmallDesignEquivalence:
             assert got["sram_reads"] == want["sram_reads"]
             assert got["sram_writes"] == want["sram_writes"]
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_matches_scalar_reference(self, backend):
         netlist = _small_netlist()
         rng = random.Random(5)
@@ -153,10 +164,11 @@ class TestSmallDesignEquivalence:
                 assert sim.peek("peek", lane=lane) == \
                     scalar.peek("peek")
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_forces_fall_back_bit_identically(self, backend):
-        # active forces route eval through the interpreter; state and
-        # activity must stay identical before, during, and after
+        # active forces are re-asserted after every level inside the
+        # kernel; state and activity must stay identical before,
+        # during, and after
         netlist = _small_netlist()
         netlist.preserved_nets["probe"] = list(netlist.outputs["acc"])
         ref = BatchedGateLevelSimulator(netlist, lanes=4)
@@ -173,7 +185,7 @@ class TestSmallDesignEquivalence:
 
 
 class TestReplayEquivalence:
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_rocket_towers_power_identical(self, towers_run, backend):
         engine = get_replay_engine("rocket_mini", gl_backend=backend)
         assert engine.gl_backend == backend
@@ -184,7 +196,7 @@ class TestReplayEquivalence:
                                         workers=1, batch_lanes=lanes)
             assert [_power_key(r) for r in results] == want
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_run_strober_energy_identical(self, towers_run, backend):
         run = run_strober("rocket_mini", "towers", sample_size=8,
                           replay_length=32, backend="auto", seed=3,
@@ -194,21 +206,24 @@ class TestReplayEquivalence:
         assert [_power_key(r) for r in run.replays] == \
             [_power_key(r) for r in towers_run.replays]
 
+    @needs_cc
     def test_boom_qsort_compiled_identical(self):
+        # interp against the compiled (fixed C) kernel
         runs = [run_strober("boom-1w_mini", "qsort", sample_size=4,
                             replay_length=32, seed=5, batch_lanes=4,
                             gl_backend=be)
-                for be in ("interp", "compiled")]
+                for be in ("interp", "c")]
         assert runs[0].energy.epi_nj == runs[1].energy.epi_nj
         assert [_power_key(r) for r in runs[0].replays] == \
             [_power_key(r) for r in runs[1].replays]
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_BACKEND", "compiled")
+        monkeypatch.setenv("REPRO_GL_BACKEND", "interp")
         clear_caches()
         try:
             engine = get_replay_engine("rocket_mini")
-            assert engine.gl_backend == "compiled"
+            assert engine.gl_backend == "interp"
+            assert engine._gl_kernel is None
         finally:
             clear_caches()
 
@@ -222,26 +237,26 @@ class TestReplayEquivalence:
         resumed = run_strober("rocket_mini", "towers", sample_size=8,
                               replay_length=32, backend="auto", seed=3,
                               batch_lanes=8, journal=journal,
-                              gl_backend="compiled")
+                              gl_backend="c")
         assert resumed.result.resumed
         assert resumed.energy.epi_nj == first.energy.epi_nj
 
 
 class TestArtifactCache:
-    def test_python_kernel_cache_hit_skips_codegen(self, tmp_path,
-                                                   monkeypatch):
+    @needs_cc
+    def test_one_kernel_serves_every_netlist(self, tmp_path,
+                                             monkeypatch):
+        # the shared object is keyed by the machine, not the netlist:
+        # a second design loads the first one's build
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        netlist = _small_netlist()
-        schedule = build_schedule(netlist)
-        cold = build_kernel(netlist, schedule, "compiled")
+        small = _small_netlist()
+        cold = build_kernel(small, build_schedule(small), "c")
         assert not cold.from_cache
-        reset_cache_stats()
-        warm = build_kernel(netlist, schedule, "compiled")
+        engine = get_replay_engine("rocket_mini")
+        big = engine.flow.netlist
+        warm = build_kernel(big, engine._schedule, "c")
         assert warm.from_cache
-        assert warm.source == cold.source
-        stats = cache_stats()
-        assert stats["hits"] >= 1
-        assert get_registry().value("cache.glpy.hits") >= 1
+        assert get_registry().value("cache.glsim.hits") >= 1
 
     @needs_cc
     def test_c_kernel_cache_hit_skips_compile(self, tmp_path,
@@ -255,7 +270,9 @@ class TestArtifactCache:
         warm = build_kernel(netlist, schedule, "c")
         assert warm.backend == "c" and warm.from_cache
         assert warm.compile_seconds < cold.compile_seconds
-        assert get_registry().value("cache.glso.hits") >= 1
+        assert get_registry().value("cache.glsim.hits") >= 1
+        # the process maps the object once, however often it loads
+        assert warm._lib is cold._lib
         # the reloaded kernel must actually evaluate
         ref = BatchedGateLevelSimulator(netlist, lanes=6,
                                         schedule=schedule)
@@ -271,29 +288,25 @@ class TestArtifactCache:
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
         build_kernel(netlist, schedule, "c")
-        key = kernel_cache_key(netlist, "c", schedule)
-        entry = get_cache().get("glso", key)
+        key = kernel_cache_key()
+        entry = get_cache().get("glsim", key)
         entry["so"] = b"\x7fELF not actually a shared object"
-        get_cache().put("glso", key, entry)
+        get_cache().put("glsim", key, entry)
         glcodegen.reset_warnings()
-        before = get_registry().value("cache.glso.stale") or 0
+        before = get_registry().value("cache.glsim.stale") or 0
         with pytest.warns(RuntimeWarning, match="failed to load"):
             kernel = build_kernel(netlist, schedule, "c")
         assert kernel.backend == "c" and not kernel.from_cache
-        assert get_registry().value("cache.glso.stale") == before + 1
-        assert cache_stats()["glso.stale"] >= 1
+        assert get_registry().value("cache.glsim.stale") == before + 1
+        assert cache_stats()["glsim.stale"] >= 1
         sim = BatchedGateLevelSimulator(netlist, lanes=4,
                                         schedule=schedule,
                                         kernel=kernel)
         sim.step(3)     # rebuilt kernel evaluates fine
 
-    def test_fingerprint_stable_across_instances(self):
-        a, b = _small_netlist(), _small_netlist()
-        assert netlist_fingerprint(a) == netlist_fingerprint(b)
-
 
 class TestFallbackLadder:
-    def test_no_cc_falls_back_to_compiled_python(self, monkeypatch):
+    def test_no_cc_falls_back_to_interp(self, monkeypatch):
         monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
@@ -302,9 +315,12 @@ class TestFallbackLadder:
         with pytest.warns(RuntimeWarning, match="unavailable"):
             kernel = build_kernel(netlist, schedule, "c",
                                   use_cache=False)
-        assert kernel is not None and kernel.backend == "compiled"
+        assert kernel is None
         assert get_registry().value("glcodegen.c_fallbacks") == \
             before + 1
+        sim = BatchedGateLevelSimulator(netlist, lanes=3,
+                                        schedule=schedule, backend="c")
+        assert sim.backend == "interp"
 
     def test_auto_degrades_silently(self, monkeypatch, recwarn):
         monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
@@ -313,9 +329,17 @@ class TestFallbackLadder:
         glcodegen.reset_warnings()
         kernel = build_kernel(netlist, schedule, "auto",
                               use_cache=False)
-        assert kernel is not None and kernel.backend == "compiled"
+        assert kernel is None
         assert not [w for w in recwarn
                     if "unavailable" in str(w.message)]
+
+    def test_wide_sram_words_fall_back_to_interp(self):
+        # words wider than 64 bits do not fit the kernel's stores (the
+        # HDL caps widths at 64, so widen a synthesized macro)
+        netlist = _small_netlist()
+        netlist.srams[0].width = 72
+        assert build_kernel(netlist, build_schedule(netlist), "auto",
+                            use_cache=False) is None
 
     def test_interp_requests_no_kernel(self):
         netlist = _small_netlist()
@@ -382,7 +406,7 @@ class TestRunCycles:
     the same cycle (the design reads ``scratch`` at the write pointer),
     toggle planes, and the strict-mode stop point."""
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     @pytest.mark.parametrize("lanes", [1, 5, MAX_LANES])
     def test_bit_identical_with_stepped_reference(self, backend, lanes):
         netlist = _small_netlist()
@@ -409,7 +433,7 @@ class TestRunCycles:
             assert s.cycles == len(per_cycle)
             _assert_identical(ref, s, backend)
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_mismatch_counts_identical(self, backend):
         lanes = 5
         netlist = _small_netlist()
@@ -435,7 +459,7 @@ class TestRunCycles:
         assert interp.run_cycles(stim=stim).tolist() == want
         assert sim.run_cycles(stim=stim).tolist() == want
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_strict_stop_identical(self, backend):
         # strict mode must stop at the same (cycle, op, lane) on every
         # backend, leaving the failing cycle settled but uncommitted
@@ -464,7 +488,7 @@ class TestRunCycles:
             stops.append((exc.cycle, exc.name, exc.lane, sim.cycles))
         assert stops[0] == stops[1] == (10, "acc", 1, 10)
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_step_phase_counters_accumulate(self, backend):
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
@@ -513,7 +537,7 @@ class TestThreadOverlap:
         run = run_strober("rocket_mini", "towers", sample_size=8,
                           replay_length=32, backend="auto", seed=3,
                           batch_lanes=3, gl_overlap=2,
-                          gl_backend="compiled")
+                          gl_backend="c")
         assert run.timings["gl_overlap"] == 2
         assert run.energy.epi_nj == towers_run.energy.epi_nj
         assert [_power_key(r) for r in run.replays] == \
@@ -556,7 +580,7 @@ class TestKernelVersionResume:
         partial = run_strober("rocket_mini", "towers", sample_size=8,
                               replay_length=32, backend="auto", seed=3,
                               batch_lanes=4, journal=journal,
-                              gl_backend="compiled",
+                              gl_backend="c",
                               target_rel_error=1.0, min_sample=2,
                               max_sample=3)
         assert partial.sampling["replayed"] < 8
@@ -568,7 +592,7 @@ class TestKernelVersionResume:
                                   sample_size=8, replay_length=32,
                                   backend="auto", seed=3,
                                   batch_lanes=4, journal=journal,
-                                  gl_backend="compiled")
+                                  gl_backend="c")
         finally:
             clear_caches()
         assert resumed.result.resumed
@@ -577,28 +601,78 @@ class TestKernelVersionResume:
             [_power_key(r) for r in towers_run.replays]
 
 
-class TestCompilerFlags:
+class TestKernelKey:
     @needs_cc
-    def test_cflags_change_rebuilds_not_stale(self, tmp_path,
-                                              monkeypatch):
-        # changing $REPRO_GL_CFLAGS must land in a different cache
-        # slot — a rebuild, never a stale .so load under old flags
+    def test_compiler_change_rebuilds_not_stale(self, tmp_path,
+                                                monkeypatch):
+        # a different compiler version must land in a different cache
+        # slot — a rebuild, never a load of another toolchain's .so
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
         build_kernel(netlist, schedule, "c")
-        key_default = kernel_cache_key(netlist, "c", schedule)
-        monkeypatch.setenv("REPRO_GL_CFLAGS", "-O0")
-        key_o0 = kernel_cache_key(netlist, "c", schedule)
+        compiler = glcodegen._find_compiler()
+        key_before = kernel_cache_key()
+        monkeypatch.setitem(glcodegen._COMPILER_IDS, compiler,
+                            glcodegen._compiler_id(compiler) + " (next)")
+        assert kernel_cache_key() != key_before
+        rebuilt = build_kernel(netlist, schedule, "c")
+        assert rebuilt.backend == "c" and not rebuilt.from_cache
+        warm = build_kernel(netlist, schedule, "c")
+        assert warm.from_cache
+        ref = BatchedGateLevelSimulator(netlist, lanes=4,
+                                        schedule=schedule)
+        sim = BatchedGateLevelSimulator(netlist, lanes=4,
+                                        schedule=schedule, kernel=warm)
+        _drive([ref, sim], cycles=8)
+        _assert_identical(ref, sim, "c-next-compiler")
+
+
+class TestCompilerFlags:
+    @needs_cc
+    def test_cflags_change_rebuilds_not_stale(self, tmp_path,
+                                              monkeypatch):
+        # the fixed flag set is part of the key: changing it lands in a
+        # different cache slot — a rebuild, never a stale .so load
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        netlist = _small_netlist()
+        schedule = build_schedule(netlist)
+        build_kernel(netlist, schedule, "c")
+        key_default = kernel_cache_key()
+        monkeypatch.setattr(glcodegen, "_CFLAGS", ("-O0",))
+        key_o0 = kernel_cache_key()
         assert key_o0 != key_default
         rebuilt = build_kernel(netlist, schedule, "c")
         assert rebuilt.backend == "c" and not rebuilt.from_cache
         warm = build_kernel(netlist, schedule, "c")
         assert warm.from_cache
-        # and the overridden-flags kernel evaluates bit-identically
+        # and the other-flags kernel evaluates bit-identically
         ref = BatchedGateLevelSimulator(netlist, lanes=4,
                                         schedule=schedule)
         sim = BatchedGateLevelSimulator(netlist, lanes=4,
                                         schedule=schedule, kernel=warm)
         _drive([ref, sim], cycles=8)
         _assert_identical(ref, sim, "c-O0")
+
+
+class TestTempDirs:
+    @needs_cc
+    def test_kernel_builds_leave_no_temp_dirs(self, tmp_path,
+                                              monkeypatch):
+        # building and cache-loading either native library (the
+        # gate-level kernel and the RTL evaluator) removes its
+        # dlopen directory
+        from repro.sim.cbackend import compile_circuit_c
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        netlist = _small_netlist()
+        schedule = build_schedule(netlist)
+        circuit = elaborate(_KernelDesign())
+        for _ in range(2):             # a cold build, then a cache load
+            build_kernel(netlist, schedule, "c")
+            compile_circuit_c(circuit)
+        build_kernel(netlist, schedule, "c", use_cache=False)
+        compile_circuit_c(circuit, use_cache=False)
+        assert os.listdir(tmp) == []

@@ -72,7 +72,7 @@ class TestParallelReplay:
         with pytest.raises(ParallelReplayError):
             replay_parallel(fancy.flow, snaps, workers=2,
                             port_names=fancy._port_names,
-                            grouping=fancy.grouping)
+                            grouping=fancy.grouping, batch_lanes=1)
         with pytest.warns(RuntimeWarning):
             results = fancy.replay_all(snaps, workers=2)
         assert len(results) == 2

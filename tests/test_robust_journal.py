@@ -128,21 +128,23 @@ class TestRunStroberResume:
                                                 monkeypatch):
         """Acceptance: a run interrupted mid-replay resumes from the
         journal — skipping the FAME simulation and the finished
-        replays — and produces a bit-identical energy estimate."""
+        replays — and produces a bit-identical energy estimate.  The
+        interrupted run replays one snapshot per batch and the resumed
+        one at the default lane count: lane counts are advisory."""
         jpath = str(tmp_path / "run.journal")
         calls = {"n": 0}
-        orig = ReplayEngine.replay
+        orig = ReplayEngine.replay_batch
 
-        def bomb(self, snapshot, strict=True):
+        def bomb(self, snapshots, strict=True):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise RuntimeError("simulated crash mid-replay")
-            return orig(self, snapshot, strict=strict)
+            return orig(self, snapshots, strict=strict)
 
-        monkeypatch.setattr(ReplayEngine, "replay", bomb)
+        monkeypatch.setattr(ReplayEngine, "replay_batch", bomb)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_strober(**RUN_KW, journal=jpath)
-        monkeypatch.setattr(ReplayEngine, "replay", orig)
+            run_strober(**RUN_KW, journal=jpath, batch_lanes=1)
+        monkeypatch.setattr(ReplayEngine, "replay_batch", orig)
 
         # resume must not rerun the FAME simulation
         import repro.core.flow as flow_mod
@@ -156,6 +158,26 @@ class TestRunStroberResume:
         assert resumed.timings["resumed_sim"]
         assert resumed.timings["resumed_replays"] == 3
         assert _energy_key(resumed.energy) == _energy_key(baseline.energy)
+
+    def test_lane_count_is_advisory(self, baseline, tmp_path,
+                                    monkeypatch):
+        # a journal written at one lane per batch resumes under the
+        # default lane count without rerunning anything
+        jpath = str(tmp_path / "run.journal")
+        first = run_strober(**RUN_KW, journal=jpath, batch_lanes=1)
+        import repro.core.flow as flow_mod
+        clear_caches()
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("work the journal already holds ran")
+
+        monkeypatch.setattr(flow_mod, "run_workload", no_rerun)
+        monkeypatch.setattr(ReplayEngine, "replay_batch", no_rerun)
+        again = run_strober(**RUN_KW, journal=jpath)
+        assert again.timings["batch_lanes"] != first.timings["batch_lanes"]
+        assert again.timings["resumed_sim"]
+        assert again.timings["resumed_replays"] == len(first.snapshots)
+        assert _energy_key(again.energy) == _energy_key(baseline.energy)
 
     def test_completed_journal_resumes_everything(self, baseline,
                                                   tmp_path):

@@ -3,6 +3,7 @@ respawn, retry with backoff, graceful serial fallback, and the
 structured health report (repro.robust.supervisor)."""
 
 import copy
+import multiprocessing
 import time
 
 import pytest
@@ -36,6 +37,7 @@ def serial_baseline(towers_run):
 def _supervised(engine, snaps, **kwargs):
     kwargs.setdefault("timeout", 60.0)
     kwargs.setdefault("backoff_base", 0.05)
+    kwargs.setdefault("batch_lanes", 1)      # faults target snapshots
     workers = kwargs.pop("workers", 2)
     return replay_supervised(
         engine.flow, snaps, workers=workers,
@@ -223,6 +225,31 @@ class TestInitGrace:
         assert _keys(results) == serial_baseline[:3]
         assert health.timeouts == 0
         assert health.healthy
+
+
+def _worker_blocked_on_a_big_result(payload, task_conn, result_conn):
+    # an abandoned batch's result: far more than one pipe buffer holds,
+    # so this send blocks until the parent reads it
+    result_conn.send(b"x" * (1 << 20))
+    task_conn.recv()              # the shutdown sentinel
+
+
+class TestShutdown:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_worker_blocked_on_its_result_exits_politely(
+            self, monkeypatch):
+        from repro.robust import supervisor
+        monkeypatch.setattr(supervisor, "_worker_main",
+                            _worker_blocked_on_a_big_result)
+        worker = supervisor._Worker(multiprocessing.get_context("fork"),
+                                    b"")
+        time.sleep(0.1)           # let it fill the pipe and block
+        t0 = time.monotonic()
+        worker.shutdown()
+        assert time.monotonic() - t0 < 1.5
+        assert worker.proc.exitcode == 0     # not killed
 
 
 class TestRunStroberIntegration:

@@ -140,19 +140,15 @@ class TestJobSpecValidation:
 
 
 class TestBreakerLadder:
-    def test_walks_c_compiled_interp_and_stops(self):
+    def test_walks_c_interp_and_stops(self):
         breaker = BackendBreaker("d", threshold=2)
         assert breaker.effective("c") == "c"
         assert breaker.record_failure("c") is None          # 1 of 2
         event = breaker.record_failure("c")
-        assert event["from"] == "c" and event["to"] == "compiled"
-        assert breaker.effective("c") == "compiled"
-        assert breaker.effective("auto") == "compiled"
-        assert breaker.effective("interp") == "interp"
-        breaker.record_failure("compiled")
-        event = breaker.record_failure("compiled")
-        assert event["to"] == "interp"
+        assert event["from"] == "c" and event["to"] == "interp"
         assert breaker.effective("c") == "interp"
+        assert breaker.effective("auto") == "interp"
+        assert breaker.effective("interp") == "interp"
         # interp is the floor: crashes there never demote further
         assert breaker.record_failure("interp", count=10) is None
         assert breaker.effective("c") == "interp"
@@ -162,7 +158,7 @@ class TestBreakerLadder:
         assert breaker.effective("auto") == "auto"
         assert breaker.effective(None) is None
         breaker.record_failure("auto")
-        assert breaker.effective(None) == "compiled"
+        assert breaker.effective(None) == "interp"
 
     def test_cooldown_probes_one_rung_back_up(self):
         breaker = BackendBreaker("d", threshold=1, cooldown_s=0.0)
@@ -176,7 +172,7 @@ class TestBreakerLadder:
         breaker = BackendBreaker("d", threshold=1)
         breaker.record_failure("c", reason="storm")
         info = breaker.as_dict()
-        assert info["floor"] == "compiled"
+        assert info["floor"] == "interp"
         assert info["demotions"][0]["reason"] == "storm"
 
 
@@ -402,10 +398,10 @@ class TestAdmissionAndLifecycle:
                 '{design="rocket_mini",floor="none"} 1') in charged
         assert ('repro_service_breaker_failures'
                 '{backend="c",design="rocket_mini"} 2') in charged
-        # The third crash tips the threshold: floor moves to compiled
+        # The third crash tips the threshold: floor moves to interp
         # and the rung's charges reset.
         assert ('repro_service_breaker_floor_info'
-                '{design="rocket_mini",floor="compiled"} 1') in demoted
+                '{design="rocket_mini",floor="interp"} 1') in demoted
         from repro.obs import validate_exposition
         assert validate_exposition(charged) == []
         assert validate_exposition(demoted) == []
@@ -413,7 +409,7 @@ class TestAdmissionAndLifecycle:
     def test_breaker_demotion_reported_in_job_status(
             self, tmp_path, stub_runs, monkeypatch):
         monkeypatch.setattr(daemon_mod, "quarantine_compiled_kernel",
-                            lambda design: "/quarantine/glso.pkl")
+                            lambda design: "/quarantine/glsim.pkl")
         # two crashes on the first job trip the threshold
         stub_runs["health"] = [SimpleNamespace(crashes=2, timeouts=0)]
         with _harness(tmp_path, breaker_threshold=2) as harness:
@@ -428,10 +424,10 @@ class TestAdmissionAndLifecycle:
         assert stormy["backends"] == ["c"]
         assert stormy["crashes"] == 2
         event = stormy["demotions"][0]
-        assert event["from"] == "c" and event["to"] == "compiled"
-        assert event["quarantined"] == "/quarantine/glso.pkl"
-        assert calm["backends"] == ["compiled"]    # capped by the floor
-        assert breakers["rocket_mini"]["floor"] == "compiled"
+        assert event["from"] == "c" and event["to"] == "interp"
+        assert event["quarantined"] == "/quarantine/glsim.pkl"
+        assert calm["backends"] == ["interp"]      # capped by the floor
+        assert breakers["rocket_mini"]["floor"] == "interp"
 
 
 class TestQueueResume:
@@ -466,13 +462,13 @@ class TestQueueResume:
 
 class TestChaosCampaign:
     def test_every_service_fault_recovered(self):
-        """Acceptance: under client disconnects, a poisoned compiled
+        """Acceptance: under client disconnects, a poisoned native
         kernel, a worker SIGKILL storm (walking the full demotion
         ladder), ENOSPC on the cache, and a daemon SIGKILL+restart,
         every job completes bit-identically to a clean run or fails
         typed — and the campaign itself is bounded (no hangs)."""
         verdicts = run_service_campaign(timeout=300.0)
         assert set(verdicts) == {
-            "client-disconnect", "poisoned-glso", "worker-kill-storm",
+            "client-disconnect", "poisoned-glsim", "worker-kill-storm",
             "enospc", "daemon-restart"}
         assert all(v == "recovered" for v in verdicts.values()), verdicts
